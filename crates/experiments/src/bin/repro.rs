@@ -876,7 +876,7 @@ fn main() {
                     };
                     match rocc_sim::snapshot::inspect(&bytes) {
                         Ok(info) => {
-                            println!("{file}: rocc-snapshot/v1");
+                            println!("{file}: rocc-snapshot/v2");
                             println!("  seed:             {}", info.seed);
                             println!("  config digest:    {:016x}", info.config_digest);
                             println!("  sim time:         {} ns", info.now_ns);

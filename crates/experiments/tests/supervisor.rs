@@ -263,7 +263,7 @@ fn corrupt_snapshot_falls_back_to_fresh_cell_run() {
     let store = SnapshotStore::new(scratch_path("corrupt-snapshots"));
     let key = "corrupt/seed5";
     // A torn/garbage checkpoint left by a crash mid-write.
-    store.save(key, b"rocc-snapshot/v1 but trailing garbage");
+    store.save(key, b"rocc-snapshot/v2 but trailing garbage");
     let resumed_from = AtomicU64::new(u64::MAX);
     let sup = Supervisor::new(ExecMode::Serial).with_retry(RetryPolicy::no_retry());
     let campaign = sup.run_resumable(

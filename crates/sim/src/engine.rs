@@ -35,6 +35,10 @@ use crate::units::BitRate;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Grace period for retrying events addressed to a host that is
+/// currently paused or crashed (flow starts, live CC timers).
+pub(crate) const HOST_DOWN_RETRY: SimDuration = SimDuration::from_micros(100);
+
 /// Everything that can happen.
 #[derive(Debug, Clone)]
 pub enum Event {
@@ -71,6 +75,8 @@ pub enum Event {
         port: PortId,
     },
     /// A per-flow host timer (CC tokens 0..=2, transport RTO token 3).
+    /// The host tells live, forwarded and dead timers apart by the
+    /// event's sequence number (see `host::TimerSlot`).
     HostCcTimer {
         /// The host.
         node: NodeId,
@@ -78,8 +84,6 @@ pub enum Event {
         flow: FlowId,
         /// Timer slot.
         token: u8,
-        /// Generation at arming time; stale generations are ignored.
-        gen: u64,
     },
     /// RP-delayed congestion feedback delivery to a sender flow.
     Feedback {
@@ -163,7 +167,7 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    fn new(config: SimConfig, n_links: usize, n_nodes: usize) -> Self {
+    pub(crate) fn new(config: SimConfig, n_links: usize, n_nodes: usize) -> Self {
         let rng = StdRng::seed_from_u64(config.seed);
         let faults = FaultState::new(config.fault_plan.clone(), config.seed, n_links, n_nodes);
         Kernel {
@@ -198,19 +202,42 @@ impl Kernel {
                 self.san.heap_add(wire);
             }
         }
-        self.seq += 1;
-        self.sched.push(Scheduled {
-            at,
-            seq: self.seq,
-            ev,
-        });
-        if self.sched.len() > self.peak_heap {
-            self.peak_heap = self.sched.len();
-        }
+        let seq = self.reserve_seq();
+        self.enqueue(Scheduled { at, seq, ev });
         self.prof.push_end(prof_prev);
     }
 
-    fn pop(&mut self) -> Option<Scheduled> {
+    /// Issue the next insertion sequence number without queueing
+    /// anything: the counter moves exactly as a [`Kernel::schedule`]
+    /// call would move it. A per-flow host timer reserves its seq when
+    /// armed and queues an event under it only when it must (see
+    /// [`Kernel::schedule_reserved`]).
+    pub(crate) fn reserve_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq
+    }
+
+    /// Queue `ev` at `(at, seq)`, where `seq` came from an earlier
+    /// [`Kernel::reserve_seq`]: the event then takes the place in the
+    /// `(at, seq)` order that a push at reservation time would have had.
+    /// `at` must not lie in the past and `seq` must not already be
+    /// queued.
+    pub(crate) fn schedule_reserved(&mut self, at: SimTime, seq: u64, ev: Event) {
+        debug_assert!(at >= self.now, "reserved push into the past");
+        debug_assert!(seq <= self.seq, "seq {seq} was never reserved");
+        let prof_prev = self.prof.push_begin();
+        self.enqueue(Scheduled { at, seq, ev });
+        self.prof.push_end(prof_prev);
+    }
+
+    fn enqueue(&mut self, s: Scheduled) {
+        self.sched.push(s);
+        if self.sched.len() > self.peak_heap {
+            self.peak_heap = self.sched.len();
+        }
+    }
+
+    pub(crate) fn pop(&mut self) -> Option<Scheduled> {
         let s = self.sched.pop();
         if self.san.on() {
             if let Some(s) = &s {
@@ -513,10 +540,15 @@ impl Sim {
         self.kernel.prof.reset_accumulators();
     }
 
-    /// Heap pushes in the profiling window. Derived from the kernel's
-    /// monotonic push sequence number (maintained for event ordering
-    /// regardless of the profiler), so counting pushes costs the hot
-    /// path nothing.
+    /// Sequence numbers issued in the profiling window. Derived from the
+    /// kernel's monotonic sequence counter (maintained for event ordering
+    /// regardless of the profiler), so counting costs the hot path
+    /// nothing. The count includes the seqs reserved by host timers:
+    /// every host-timer arm reserves a seq, but only an arm that must
+    /// queue an event pushes one. So this counts the pushes that one
+    /// event per timer arm would make; the pushes timer coalescing saves
+    /// show up as fewer dispatched events and a lower
+    /// [`Kernel::peak_pending`], not here.
     pub fn profiled_pushes(&self) -> u64 {
         self.kernel.seq - self.profile_base_seq
     }
@@ -684,7 +716,7 @@ impl Sim {
         let stepped = if let Some(s) = self.pop_next() {
             self.kernel.now = s.at;
             self.events_processed += 1;
-            self.dispatch(s.ev);
+            self.dispatch(s);
             if self.kernel.past_due_clamps != self.clamps_published {
                 self.publish_clamps();
             }
@@ -719,7 +751,7 @@ impl Sim {
             }
             self.kernel.now = s.at;
             self.events_processed += 1;
-            self.dispatch(s.ev);
+            self.dispatch(s);
             if self.kernel.past_due_clamps != self.clamps_published {
                 self.publish_clamps();
             }
@@ -830,7 +862,7 @@ impl Sim {
             }
             self.kernel.now = s.at;
             self.events_processed += 1;
-            self.dispatch(s.ev);
+            self.dispatch(s);
             if self.kernel.past_due_clamps != self.clamps_published {
                 self.publish_clamps();
             }
@@ -975,7 +1007,7 @@ impl Sim {
     // ------------------------------------------------------ snapshotting
 
     /// Serialize the complete dynamic state of the run as a
-    /// `rocc-snapshot/v1` document: scheduler heap contents, packet slab,
+    /// `rocc-snapshot/v2` document: scheduler heap contents, packet slab,
     /// RNG streams, switch and host state, fault cursors, budget odometers,
     /// and all collected instrumentation. Restoring the bytes into a
     /// freshly rebuilt, identically configured `Sim` (see [`Sim::restore`])
@@ -1174,7 +1206,7 @@ impl Sim {
     // ------------------------------------------- divergence observatory
 
     /// Serialize every subsystem's dynamic state as a separate named byte
-    /// stream, using the same `rocc-snapshot/v1` word codecs (and the
+    /// stream, using the same `rocc-snapshot/v2` word codecs (and the
     /// same section boundaries) as [`Sim::snapshot`]. This is the raw
     /// material of the divergence observatory: hashing each component
     /// yields [`Sim::state_digest`], and diffing two sims' streams
@@ -1349,11 +1381,8 @@ impl Sim {
         }
     }
 
-    /// Grace period for retrying events addressed to a host that is
-    /// currently paused or crashed (flow starts, pending CC timers).
-    const HOST_DOWN_RETRY: SimDuration = SimDuration::from_micros(100);
-
-    fn dispatch(&mut self, ev: Event) {
+    fn dispatch(&mut self, s: Scheduled) {
+        let Scheduled { seq, ev, .. } = s;
         if self.kernel.prof.is_enabled() {
             self.kernel.prof.dispatch_begin(ev.kind_idx());
         }
@@ -1513,38 +1542,11 @@ impl Sim {
                     sw.handle_cc_timer(&mut self.kernel, &self.topo, &mut self.trace, port);
                 }
             }
-            Event::HostCcTimer {
-                node,
-                flow,
-                token,
-                gen,
-            } => {
-                if self.kernel.faults.host_is_down(node) {
-                    // A host with no restore scheduled is never coming back:
-                    // re-queueing would churn the heap every 100 µs until the
-                    // deadline for an event nobody will ever handle.
-                    if !self.kernel.faults.host_will_recover(node, self.kernel.now) {
-                        self.trace.faults.abandoned_events += 1;
-                        return;
-                    }
-                    // Timers freeze while the host is down; re-deliver later
-                    // with the same generation so CC timer chains (e.g. the
-                    // RoCC recovery timer) survive a pause. A crash bumps
-                    // every generation, so replayed timers die there.
-                    let at = self.kernel.now + Self::HOST_DOWN_RETRY;
-                    self.kernel.schedule(
-                        at,
-                        Event::HostCcTimer {
-                            node,
-                            flow,
-                            token,
-                            gen,
-                        },
-                    );
-                    return;
-                }
+            Event::HostCcTimer { node, flow, token } => {
+                // The host owns the down-host policy here: only a live
+                // timer is replayed or abandoned (see `Host::handle_cc_timer`).
                 if let NodeSlot::Host(h) = &mut self.nodes[node.0] {
-                    h.handle_cc_timer(&mut self.kernel, &self.topo, &mut self.trace, flow, token, gen);
+                    h.handle_cc_timer(&mut self.kernel, &self.topo, &mut self.trace, flow, token, seq);
                 }
             }
             Event::Feedback { node, flow, fb } => {
@@ -1567,7 +1569,7 @@ impl Sim {
                         return;
                     }
                     // The source is down; retry once it has come back.
-                    let at = self.kernel.now + Self::HOST_DOWN_RETRY;
+                    let at = self.kernel.now + HOST_DOWN_RETRY;
                     self.kernel.schedule(at, Event::FlowStart { idx });
                     return;
                 }

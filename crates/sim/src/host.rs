@@ -6,7 +6,7 @@
 //! the paper).
 
 use crate::cc::{AckEvent, FeedbackEvent, HostCc, HostCcCtx, RateDecision};
-use crate::engine::{Event, FlowMeta, Kernel};
+use crate::engine::{Event, FlowMeta, Kernel, HOST_DOWN_RETRY};
 use crate::fastmap::FxHashMap;
 use crate::packet::{FlowId, IntStack, Packet, PacketKind};
 use crate::profiler::Phase;
@@ -25,6 +25,65 @@ pub const RTO_TOKEN: u8 = 3;
 /// Number of per-flow timer slots (tokens `0..TIMER_SLOTS`).
 pub const TIMER_SLOTS: usize = 4;
 
+/// One per-flow timer slot (CC tokens `0..=2`, transport RTO token 3).
+///
+/// Arming reserves the insertion seq a fresh push would have taken
+/// ([`Kernel::reserve_seq`]) but queues an event only when the slot has
+/// none queued or the new deadline is earlier than the queued one. A
+/// queued event that pops before the armed deadline is forwarded to
+/// `(deadline, reserved seq)` ([`Kernel::schedule_reserved`]). So a live
+/// timer fires at exactly the `(at, seq)` that one push per arm would
+/// have given it, while a re-armed timer costs no new event: the go-back-N
+/// RTO re-arms on every data packet and every advancing ACK, and
+/// superseded pushes used to linger in the queue as no-op pops.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct TimerSlot {
+    /// Armed deadline and the seq reserved for it (`None` = disarmed:
+    /// cancelled, fired, or never armed).
+    armed: Option<(SimTime, u64)>,
+    /// `(at, seq)` of the one queued event serving this slot. Any other
+    /// queued event for the slot was superseded by an earlier deadline
+    /// and pops as a no-op.
+    queued: Option<(SimTime, u64)>,
+}
+
+impl TimerSlot {
+    /// Arm (or re-arm) the slot for `at`; `ev` is this slot's event.
+    fn arm(&mut self, k: &mut Kernel, at: SimTime, ev: Event) {
+        let seq = k.reserve_seq();
+        self.armed = Some((at, seq));
+        if self.queued.is_none_or(|(q, _)| at < q) {
+            k.schedule_reserved(at, seq, ev);
+            self.queued = Some((at, seq));
+        }
+    }
+
+    /// Handle the pop of this slot's event queued under `seq`: true when
+    /// the armed deadline is due and the timer fires now. A superseded or
+    /// cancelled event does nothing; one that pops before a later
+    /// re-armed deadline is forwarded there.
+    fn on_pop(&mut self, k: &mut Kernel, seq: u64, ev: Event) -> bool {
+        if self.queued.is_none_or(|(_, q)| q != seq) {
+            return false;
+        }
+        self.queued = None;
+        match self.armed {
+            Some((_, armed_seq)) if armed_seq == seq => {
+                self.armed = None;
+                true
+            }
+            Some((at, armed_seq)) => {
+                // Re-armed to a deadline no earlier than this event's:
+                // (at, armed_seq) lies after the current pop.
+                k.schedule_reserved(at, armed_seq, ev);
+                self.queued = Some((at, armed_seq));
+                false
+            }
+            None => false,
+        }
+    }
+}
+
 /// Sender-side state for one flow.
 struct SenderFlow {
     dst: NodeId,
@@ -42,9 +101,8 @@ struct SenderFlow {
     offered: Option<BitRate>,
     /// Time and wire size of the last transmitted packet (pacing baseline).
     last_tx: Option<(SimTime, u64)>,
-    /// Per-token timer generations; events carrying stale generations are
-    /// ignored, which implements reset/cancel.
-    timer_gen: [u64; TIMER_SLOTS],
+    /// Per-token timer slots.
+    timers: [TimerSlot; TIMER_SLOTS],
     /// Flow explicitly stopped (long-running flows in dynamic scenarios).
     stopped: bool,
     /// Where the flow sits in the TX scheduler.
@@ -246,7 +304,7 @@ impl Host {
                 cc,
                 offered: meta.offered,
                 last_tx: None,
-                timer_gen: [0; TIMER_SLOTS],
+                timers: [TimerSlot::default(); TIMER_SLOTS],
                 stopped: false,
                 sched: SchedState::Idle,
                 wait_until: SimTime::ZERO,
@@ -304,46 +362,35 @@ impl Host {
             return;
         };
         for token in ctx.cancel_timers {
-            let t = token as usize % TIMER_SLOTS;
-            f.timer_gen[t] = f.timer_gen[t].wrapping_add(1);
+            f.timers[token as usize % TIMER_SLOTS].armed = None;
         }
         for (token, d) in ctx.set_timers {
             let t = token as usize % TIMER_SLOTS;
-            f.timer_gen[t] = f.timer_gen[t].wrapping_add(1);
-            k.schedule(
-                k.now + d,
-                Event::HostCcTimer {
-                    node: self.id,
-                    flow,
-                    token: t as u8,
-                    gen: f.timer_gen[t],
-                },
-            );
+            let ev = Event::HostCcTimer {
+                node: self.id,
+                flow,
+                token: t as u8,
+            };
+            f.timers[t].arm(k, k.now + d, ev);
         }
     }
 
     fn arm_rto(&mut self, k: &mut Kernel, flow: FlowId) {
-        let rto = k.config.rto;
+        let at = k.now + k.config.rto;
         let Some(f) = self.flows.get_mut(&flow) else {
             return;
         };
-        let t = RTO_TOKEN as usize;
-        f.timer_gen[t] = f.timer_gen[t].wrapping_add(1);
-        k.schedule(
-            k.now + rto,
-            Event::HostCcTimer {
-                node: self.id,
-                flow,
-                token: RTO_TOKEN,
-                gen: f.timer_gen[t],
-            },
-        );
+        let ev = Event::HostCcTimer {
+            node: self.id,
+            flow,
+            token: RTO_TOKEN,
+        };
+        f.timers[RTO_TOKEN as usize].arm(k, at, ev);
     }
 
     fn cancel_rto(&mut self, flow: FlowId) {
         if let Some(f) = self.flows.get_mut(&flow) {
-            let t = RTO_TOKEN as usize;
-            f.timer_gen[t] = f.timer_gen[t].wrapping_add(1);
+            f.timers[RTO_TOKEN as usize].armed = None;
         }
     }
 
@@ -578,8 +625,17 @@ impl Host {
                     w.u64(b);
                 }
             }
-            for g in f.timer_gen {
-                w.u64(g);
+            for slot in &f.timers {
+                for key in [slot.armed, slot.queued] {
+                    match key {
+                        None => w.u8(0),
+                        Some((t, seq)) => {
+                            w.u8(1);
+                            w.time(t);
+                            w.u64(seq);
+                        }
+                    }
+                }
             }
             w.bool(f.stopped);
             w.u8(match f.sched {
@@ -689,9 +745,15 @@ impl Host {
                 1 => Some((r.time()?, r.u64()?)),
                 _ => return Err(SnapshotError::Malformed("last-tx tag")),
             };
-            let mut timer_gen = [0u64; TIMER_SLOTS];
-            for g in &mut timer_gen {
-                *g = r.u64()?;
+            let mut timers = [TimerSlot::default(); TIMER_SLOTS];
+            for slot in &mut timers {
+                for key in [&mut slot.armed, &mut slot.queued] {
+                    *key = match r.u8()? {
+                        0 => None,
+                        1 => Some((r.time()?, r.u64()?)),
+                        _ => return Err(SnapshotError::Malformed("timer slot tag")),
+                    };
+                }
             }
             let stopped = r.bool()?;
             let sched = match r.u8()? {
@@ -716,7 +778,7 @@ impl Host {
                     cc,
                     offered,
                     last_tx,
-                    timer_gen,
+                    timers,
                     stopped,
                     sched,
                     wait_until,
@@ -909,10 +971,9 @@ impl Host {
             f.last_tx = None;
             f.sched = SchedState::Idle;
             f.wait_until = SimTime::ZERO;
-            // Invalidate every pending timer (they are replayed by the
-            // engine while the host is down and must die on arrival).
-            for g in f.timer_gen.iter_mut() {
-                *g = g.wrapping_add(1);
+            // Disarm every timer: queued events pop as no-ops.
+            for slot in f.timers.iter_mut() {
+                slot.armed = None;
             }
         }
         lost
@@ -985,7 +1046,13 @@ impl Host {
         self.try_send(k, topo, trace);
     }
 
-    /// A CC or transport timer fired.
+    /// A timer event queued under `seq` popped. Only the pop of a slot's
+    /// armed `(deadline, seq)` fires the timer; an earlier pop is
+    /// forwarded there, and a superseded, cancelled or removed-flow event
+    /// does nothing. A live timer whose host is down is replayed every
+    /// [`HOST_DOWN_RETRY`] like a fresh arm, so CC timer chains (e.g. the
+    /// RoCC recovery timer) survive a pause; it is abandoned if the host
+    /// never recovers. A crash disarms every slot instead.
     pub fn handle_cc_timer(
         &mut self,
         k: &mut Kernel,
@@ -993,7 +1060,7 @@ impl Host {
         trace: &mut Trace,
         flow: FlowId,
         token: u8,
-        gen: u64,
+        seq: u64,
     ) {
         k.prof.enter(Phase::HostCompute);
         {
@@ -1001,8 +1068,21 @@ impl Host {
                 return;
             };
             let t = token as usize % TIMER_SLOTS;
-            if f.timer_gen[t] != gen {
-                return; // stale (reset or cancelled)
+            let ev = Event::HostCcTimer {
+                node: self.id,
+                flow,
+                token,
+            };
+            if !f.timers[t].on_pop(k, seq, ev.clone()) {
+                return;
+            }
+            if k.faults.host_is_down(self.id) {
+                if k.faults.host_will_recover(self.id, k.now) {
+                    f.timers[t].arm(k, k.now + HOST_DOWN_RETRY, ev);
+                } else {
+                    trace.faults.abandoned_events += 1;
+                }
+                return;
             }
             if token == RTO_TOKEN {
                 // Go-back-N timeout: roll back to the cumulative ack.
@@ -1171,5 +1251,138 @@ impl Host {
             self.activate_on_rate_change(flow);
         }
         self.try_send(k, topo, trace);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SimConfig;
+    use crate::sched::Scheduled;
+
+    fn kernel() -> Kernel {
+        Kernel::new(SimConfig::default(), 0, 0)
+    }
+
+    fn timer_ev() -> Event {
+        Event::HostCcTimer {
+            node: NodeId(0),
+            flow: FlowId(0),
+            token: 0,
+        }
+    }
+
+    fn t(ns: u64) -> SimTime {
+        SimTime::from_nanos(ns)
+    }
+
+    /// The `(at, seq)` of every pop, and of every pop that fired.
+    #[derive(Default)]
+    struct Log {
+        pops: Vec<(u64, u64)>,
+        fires: Vec<(u64, u64)>,
+    }
+
+    /// Pop the next event in `(at, seq)` order, feeding a timer event to
+    /// `slot`. False once the queue is empty.
+    fn pop_one(k: &mut Kernel, slot: &mut TimerSlot, log: &mut Log) -> bool {
+        let Some(Scheduled { at, seq, ev }) = k.pop() else {
+            return false;
+        };
+        k.now = at;
+        log.pops.push((at.as_nanos(), seq));
+        if let Event::HostCcTimer { .. } = ev {
+            if slot.on_pop(k, seq, ev) {
+                log.fires.push((at.as_nanos(), seq));
+            }
+        }
+        true
+    }
+
+    fn drive(k: &mut Kernel, slot: &mut TimerSlot) -> (Vec<(u64, u64)>, Vec<(u64, u64)>) {
+        let mut log = Log::default();
+        while pop_one(k, slot, &mut log) {}
+        (log.pops, log.fires)
+    }
+
+    #[test]
+    fn later_rearm_fires_once_at_the_last_deadline() {
+        let mut k = kernel();
+        let mut slot = TimerSlot::default();
+        let mut log = Log::default();
+        slot.arm(&mut k, t(100), timer_ev()); // seq 1
+        k.now = t(40);
+        slot.arm(&mut k, t(140), timer_ev()); // seq 2
+        k.now = t(80);
+        slot.arm(&mut k, t(160), timer_ev()); // seq 3
+        // Each arm reserved a seq, as one push per arm would have, but
+        // only the first queued an event.
+        assert_eq!(k.pending(), 1);
+        // The event pops at 100 and is forwarded to the newest deadline.
+        assert!(pop_one(&mut k, &mut slot, &mut log));
+        assert_eq!(k.pending(), 1);
+        k.now = t(120);
+        slot.arm(&mut k, t(180), timer_ev()); // seq 4
+        assert_eq!(k.reserve_seq(), 5, "one seq per arm, none per forward");
+        let (pops, fires) = drive(&mut k, &mut slot);
+        log.pops.extend(pops);
+        assert_eq!(log.pops, vec![(100, 1), (160, 3), (180, 4)]);
+        assert_eq!(fires, vec![(180, 4)], "fires once, at the last deadline");
+        assert_eq!(slot, TimerSlot::default());
+    }
+
+    #[test]
+    fn earlier_rearm_fires_at_the_earlier_deadline() {
+        let mut k = kernel();
+        let mut slot = TimerSlot::default();
+        slot.arm(&mut k, t(100), timer_ev());
+        k.now = t(10);
+        slot.arm(&mut k, t(60), timer_ev());
+        assert_eq!(k.pending(), 2);
+        let (pops, fires) = drive(&mut k, &mut slot);
+        // The superseded event still pops, once, as a no-op.
+        assert_eq!(pops, vec![(60, 2), (100, 1)]);
+        assert_eq!(fires, vec![(60, 2)]);
+    }
+
+    #[test]
+    fn cancel_then_rearm_fires_only_the_new_deadline() {
+        let mut k = kernel();
+        let mut slot = TimerSlot::default();
+        slot.arm(&mut k, t(100), timer_ev());
+        slot.armed = None;
+        k.now = t(30);
+        slot.arm(&mut k, t(200), timer_ev());
+        let (pops, fires) = drive(&mut k, &mut slot);
+        assert_eq!(pops, vec![(100, 1), (200, 2)]);
+        assert_eq!(fires, vec![(200, 2)]);
+
+        // Cancelled and never re-armed: the queued event does nothing.
+        slot.arm(&mut k, t(300), timer_ev());
+        slot.armed = None;
+        let (pops, fires) = drive(&mut k, &mut slot);
+        assert_eq!(pops.len(), 1);
+        assert!(fires.is_empty());
+    }
+
+    #[test]
+    fn forward_to_an_equal_deadline_keeps_its_reserved_place() {
+        // Re-arming to the queued deadline itself: the queued event pops
+        // first under its old seq and must be re-inserted behind an
+        // equal-instant event pushed between the two arms, as a fresh push
+        // at the second arm would have been.
+        for backend in [crate::sched::Backend::Wheel, crate::sched::Backend::Heap] {
+            let mut k = kernel();
+            k.set_scheduler_backend(backend);
+            let mut slot = TimerSlot::default();
+            slot.arm(&mut k, t(100), timer_ev()); // seq 1
+            k.schedule(t(100), Event::Sample); // seq 2
+            k.now = t(50);
+            slot.arm(&mut k, t(100), timer_ev()); // seq 3, forwarded
+            k.schedule(t(100), Event::Sample); // seq 4
+            let (pops, fires) = drive(&mut k, &mut slot);
+            assert_eq!(pops, vec![(100, 1), (100, 2), (100, 3), (100, 4)], "{backend:?}");
+            assert_eq!(fires, vec![(100, 3)], "{backend:?}");
+        }
     }
 }

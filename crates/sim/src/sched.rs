@@ -23,9 +23,20 @@
 //! wheel's clock `now`; slot = that byte of `at`. Three invariants carry
 //! the proof:
 //!
-//! 1. **Same `at` ⇒ same bucket, FIFO.** Two events with equal `at` land
-//!    in the same slot of the same level at every point in time, and
-//!    pushes append — so equal-timestamp runs always pop in seq order.
+//! 1. **Same `at` ⇒ same bucket, in seq order.** Two events with equal
+//!    `at` land in the same slot of the same level at every point in
+//!    time, and each bucket keeps its equal-`at` entries sorted by seq,
+//!    so equal-timestamp runs always pop in seq order. A push appends
+//!    when its seq is newer than every seq the wheel has ever been
+//!    pushed, which holds for every fresh kernel push (the kernel issues
+//!    seqs in increasing order). Any other push (a host timer forwarded
+//!    to the seq reserved when it was armed, or a snapshot restore
+//!    replaying the queue in `(at, seq)` order) goes before the first
+//!    equal-`at` entry in its bucket with a later seq. The bucket's back
+//!    entry can't stand in for that search: overflow buckets mix
+//!    instants, so their back need not hold their newest seq. Cascades
+//!    and rebases move buckets front to back, so they keep that order
+//!    without a search.
 //! 2. **Level-0 buckets are single-instant.** An occupied level-0 slot
 //!    shares its upper 56 bits with `now`, so the slot index pins the
 //!    full timestamp: the lowest occupied slot holds exactly the global
@@ -222,6 +233,9 @@ pub struct TimingWheel {
     /// Scratch buffer reused by cascades so expanding a bucket never
     /// allocates in steady state.
     scratch: Vec<Scheduled>,
+    /// Newest seq ever pushed. Every queued entry's seq is at most this,
+    /// so a push with a newer seq may append to its bucket.
+    max_seq: u64,
     stats: SchedStats,
 }
 
@@ -234,6 +248,7 @@ impl Default for TimingWheel {
             occ: [[0; OCC_WORDS]; WHEEL_LEVELS],
             level_len: [0; WHEEL_LEVELS],
             scratch: Vec::new(),
+            max_seq: 0,
             stats: SchedStats::default(),
         }
     }
@@ -263,20 +278,29 @@ fn first_occupied(occ: &[u64; OCC_WORDS]) -> Option<usize> {
 }
 
 impl TimingWheel {
-    /// Bucket/bitmap insert relative to the current clock. Does not touch
-    /// `len` (cascades move entries without changing the total).
+    /// Mark the bucket of an entry due at `at` (relative to the current
+    /// clock) as holding one more entry and return its index. Does not
+    /// touch `len` (cascades move entries without changing the total).
     #[inline]
-    fn insert(&mut self, s: Scheduled) {
-        let at = s.at.as_nanos();
+    fn claim(&mut self, at: u64) -> usize {
         debug_assert!(at >= self.now_ns, "insert below the wheel clock");
         let lvl = level_of(at, self.now_ns);
         let slot = ((at >> (SLOT_BITS * lvl as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.buckets[(lvl << SLOT_BITS) | slot].push_back(s);
         self.occ[lvl][slot >> 6] |= 1u64 << (slot & 63);
         self.level_len[lvl] += 1;
         if lvl as u8 > self.stats.max_level {
             self.stats.max_level = lvl as u8;
         }
+        (lvl << SLOT_BITS) | slot
+    }
+
+    /// Append `s` to its bucket. Cascades and rebases move entries in
+    /// bucket order into buckets holding no other entry of the same
+    /// instant, so appending keeps each instant's seq order.
+    #[inline]
+    fn insert(&mut self, s: Scheduled) {
+        let i = self.claim(s.at.as_nanos());
+        self.buckets[i].push_back(s);
     }
 
     /// Drain every bucket and re-insert relative to a smaller clock.
@@ -339,7 +363,22 @@ impl Scheduler for TimingWheel {
         if s.at.as_nanos() < self.now_ns {
             self.rebase(s.at.as_nanos());
         }
-        self.insert(s);
+        let i = self.claim(s.at.as_nanos());
+        let bucket = &mut self.buckets[i];
+        if s.seq > self.max_seq {
+            // No queued entry has a later seq: appending keeps order.
+            self.max_seq = s.seq;
+            bucket.push_back(s);
+        } else {
+            // A reserved (older) seq: its place is before the first entry
+            // due at the same instant with a later seq. Upper-level
+            // buckets mix instants, so the back entry alone can't tell.
+            let pos = bucket
+                .iter()
+                .position(|e| e.at == s.at && e.seq > s.seq)
+                .unwrap_or(bucket.len());
+            bucket.insert(pos, s);
+        }
         self.len += 1;
     }
 
@@ -377,11 +416,8 @@ impl Scheduler for TimingWheel {
         if at < self.now_ns {
             self.rebase(at);
         }
-        let lvl = level_of(at, self.now_ns);
-        let slot = ((at >> (SLOT_BITS * lvl as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.buckets[(lvl << SLOT_BITS) | slot].push_front(s);
-        self.occ[lvl][slot >> 6] |= 1u64 << (slot & 63);
-        self.level_len[lvl] += 1;
+        let i = self.claim(at);
+        self.buckets[i].push_front(s);
         self.len += 1;
     }
 
@@ -709,20 +745,77 @@ mod tests {
         assert_eq!(Scheduler::len(&w), 2);
     }
 
+    #[test]
+    fn reserved_push_takes_its_seq_place_among_equal_instants() {
+        // A push whose seq is older than queued equal-`at` entries (a host
+        // timer forwarded to the seq reserved when it was armed) must pop
+        // before them, whichever level the bucket sits at, and keep that
+        // place through the cascades that bring it down to level 0.
+        for at in [7u64, 0x1_23, 0x45_67_89, 0xAB_CD_EF_01] {
+            let mut heap = SchedulerImpl::new(Backend::Heap);
+            let mut wheel = SchedulerImpl::new(Backend::Wheel);
+            for (a, seq) in [(at, 2), (at + 1, 5), (at, 4), (at, 3), (at - 1, 6), (at, 1)] {
+                heap.push(sch(a, seq));
+                wheel.push(sch(a, seq));
+            }
+            let want = drain(&mut heap);
+            assert_eq!(&want[..], &[(at - 1, 6), (at, 1), (at, 2), (at, 3), (at, 4), (at + 1, 5)]);
+            assert_eq!(drain(&mut wheel), want, "at {at:#x}");
+        }
+    }
+
+    #[test]
+    fn reserved_push_into_a_mixed_instant_bucket_stays_ordered() {
+        // An upper-level bucket mixes instants, so its back entry need not
+        // hold its newest seq: after the older-seq (0x110, 1) lands behind
+        // (0x100, 3), a reserved (0x100, 2) must still go before (0x100, 3).
+        let mut heap = SchedulerImpl::new(Backend::Heap);
+        let mut wheel = SchedulerImpl::new(Backend::Wheel);
+        for (at, seq) in [(0x100, 3), (0x110, 1), (0x100, 2)] {
+            heap.push(sch(at, seq));
+            wheel.push(sch(at, seq));
+        }
+        let want = drain(&mut heap);
+        assert_eq!(want, vec![(0x100, 2), (0x100, 3), (0x110, 1)]);
+        assert_eq!(drain(&mut wheel), want);
+    }
+
+    #[test]
+    fn reserved_push_after_a_rebase_stays_ordered() {
+        let mut w = TimingWheel::default();
+        w.push(sch(5000, 1));
+        assert_eq!(w.pop().unwrap().at.as_nanos(), 5000);
+        w.push(sch(6000, 5));
+        w.push(sch(6000, 7));
+        w.push(sch(4800, 8)); // below the clock: rebase
+        w.push(sch(6000, 6)); // reserved seq between the queued ones
+        w.push(sch(6000, 2));
+        assert!(Scheduler::stats(&w).rebases >= 1);
+        assert_eq!(
+            drain(&mut w),
+            vec![(4800, 8), (6000, 2), (6000, 5), (6000, 6), (6000, 7)]
+        );
+    }
+
     // Satellite: always-on differential proptest, heap vs wheel over
     // random event streams (pushes with clustered timestamps, pops, and
-    // head requeues — the full kernel op set).
+    // head requeues — the full kernel op set — plus reserved pushes that
+    // carry an older seq into instants already queued under later seqs).
     proptest! {
         #[test]
         fn differential_heap_vs_wheel(ops in proptest::collection::vec(
-            (0u8..10, 0u64..5, 0u64..64), 1..400)
+            (0u8..13, 0u64..5, 0u64..64), 1..400)
         ) {
             let mut heap = SchedulerImpl::new(Backend::Heap);
             let mut wheel = SchedulerImpl::new(Backend::Wheel);
             let mut seq = 0u64;
             let mut clock = 0u64;
+            // Seqs issued but not yet pushed, and every instant pushed so
+            // far (targets for reserved pushes into occupied buckets).
+            let mut reserved: Vec<u64> = Vec::new();
+            let mut ats: Vec<u64> = Vec::new();
             for (op, scale, delta) in ops {
-                if op < 6 {
+                if op < 5 {
                     // Push: timestamps cluster near the clock but reach
                     // far-future levels via the scale factor (collisions
                     // at identical instants are common by construction).
@@ -730,7 +823,33 @@ mod tests {
                     let at = clock + delta * 257u64.pow(scale as u32);
                     heap.push(sch(at, seq));
                     wheel.push(sch(at, seq));
-                } else if op < 9 {
+                    ats.push(at);
+                } else if op == 5 {
+                    // Reserve a seq; later fresh pushes get newer ones.
+                    seq += 1;
+                    reserved.push(seq);
+                } else if op < 8 {
+                    // Reserved push: an older seq, either into an instant
+                    // already pushed (level 0 or an overflow level,
+                    // depending on its distance from the clock) or just
+                    // past one, which mostly shares its overflow bucket
+                    // but not its instant (so those buckets mix instants
+                    // with out-of-order seqs). Pops and requeues before
+                    // and after drive cascades and rebases over it.
+                    if reserved.is_empty() {
+                        continue;
+                    }
+                    let r = reserved.remove(delta as usize % reserved.len());
+                    let at = if ats.is_empty() {
+                        clock + delta * 257u64.pow(scale as u32)
+                    } else {
+                        let near = ats[(delta as usize * 31 + scale as usize) % ats.len()];
+                        near.max(clock) + if op == 6 { 0 } else { 1 + delta % 3 }
+                    };
+                    heap.push(sch(at, r));
+                    wheel.push(sch(at, r));
+                    ats.push(at);
+                } else if op < 12 {
                     // Pop from both; results must agree exactly.
                     let a = heap.pop().map(|s| (s.at.as_nanos(), s.seq));
                     let b = wheel.pop().map(|s| (s.at.as_nanos(), s.seq));

@@ -1,4 +1,4 @@
-//! Deterministic mid-run snapshot/restore: the `rocc-snapshot/v1` format.
+//! Deterministic mid-run snapshot/restore: the `rocc-snapshot/v2` format.
 //!
 //! A snapshot captures the complete *dynamic* state of a [`crate::engine::Sim`]
 //! — scheduler heap, packet slab, switch queues and PFC state, host
@@ -18,7 +18,7 @@
 //! seed-zeroed FNV-1a config digest in the header, plus structural checks
 //! (node counts, watch-list lengths) during decode.
 //!
-//! Wire format: a 16-byte magic (`rocc-snapshot/v1`), a fixed header
+//! Wire format: a 16-byte magic (`rocc-snapshot/v2`), a fixed header
 //! (seed, config digest, sim time, event count), a length-prefixed body of
 //! little-endian primitives, and a trailing FNV-1a-64 digest over
 //! everything before it. Corruption of any byte is caught by the trailer
@@ -37,7 +37,7 @@ use crate::units::BitRate;
 use std::fmt;
 
 /// Leading magic of every snapshot: format name + version in one token.
-pub const SNAPSHOT_MAGIC: &[u8; 16] = b"rocc-snapshot/v1";
+pub const SNAPSHOT_MAGIC: &[u8; 16] = b"rocc-snapshot/v2";
 
 /// Byte length of the fixed header (magic + seed + config digest + now +
 /// events + body length).
@@ -48,7 +48,7 @@ pub const HEADER_LEN: usize = 16 + 8 * 5;
 /// a campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The leading magic is not `rocc-snapshot/v1` (wrong file, wrong
+    /// The leading magic is not `rocc-snapshot/v2` (wrong file, wrong
     /// version, or garbage).
     BadMagic,
     /// The byte stream ended before the declared structure did.
@@ -77,7 +77,7 @@ pub enum SnapshotError {
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotError::BadMagic => write!(f, "not a rocc-snapshot/v1 file"),
+            SnapshotError::BadMagic => write!(f, "not a rocc-snapshot/v2 file"),
             SnapshotError::Truncated => write!(f, "snapshot truncated"),
             SnapshotError::DigestMismatch { computed, stored } => write!(
                 f,
@@ -633,17 +633,11 @@ pub(crate) fn write_event(w: &mut SnapWriter, ev: &Event) {
             w.usize(node.0);
             w.usize(port.0);
         }
-        Event::HostCcTimer {
-            node,
-            flow,
-            token,
-            gen,
-        } => {
+        Event::HostCcTimer { node, flow, token } => {
             w.u8(5);
             w.usize(node.0);
             w.u64(flow.0);
             w.u8(*token);
-            w.u64(*gen);
         }
         Event::Feedback { node, flow, fb } => {
             w.u8(6);
@@ -691,7 +685,6 @@ pub(crate) fn read_event(r: &mut SnapReader<'_>) -> Result<Event, SnapshotError>
             node: NodeId(r.usize()?),
             flow: FlowId(r.u64()?),
             token: r.u8()?,
-            gen: r.u64()?,
         },
         6 => Event::Feedback {
             node: NodeId(r.usize()?),

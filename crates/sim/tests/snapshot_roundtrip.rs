@@ -144,6 +144,53 @@ proptest! {
     }
 }
 
+/// Event indices `k` of a seed's uninterrupted run at which the next
+/// dispatch forwards a host timer: the step pops one event and queues one
+/// under a previously reserved seq, so neither the pending count nor the
+/// issued seqs move (any other event either queues nothing or issues a
+/// fresh seq per push).
+fn forwarding_cut_points(seed: u64) -> Vec<u64> {
+    let mut sim = build_chaos(seed);
+    let mut cuts = Vec::new();
+    while sim.trace.fcts.len() < 6 {
+        let (k, pending, pushes) = (
+            sim.events_processed(),
+            sim.kernel.pending(),
+            sim.profiled_pushes(),
+        );
+        assert!(sim.step(), "run drained before its flows finished");
+        if sim.kernel.pending() == pending && sim.profiled_pushes() == pushes {
+            cuts.push(k);
+        }
+    }
+    cuts
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Seed 1 recovers its last two flows by live go-back-N timeouts
+    /// (FCTs of 6.7 and 10.1 ms against a 4 ms RTO), and every data
+    /// packet and advancing ACK re-arms the RTO slot. Cutting just before
+    /// a timer event is forwarded to its re-armed deadline, or just
+    /// after, must resume bit-identically: the slot's armed and queued
+    /// keys round-trip with the scheduler entry they describe.
+    #[test]
+    fn restore_while_a_timer_is_being_forwarded_is_bit_identical(
+        pick in 0.0f64..1.0,
+        after in 0u64..2,
+    ) {
+        static CUTS: std::sync::OnceLock<Vec<u64>> = std::sync::OnceLock::new();
+        let seed = 1;
+        let (want, _) = reference(seed);
+        let cuts = CUTS.get_or_init(|| forwarding_cut_points(seed));
+        prop_assert!(cuts.len() >= 20, "only {} forwards on seed {}", cuts.len(), seed);
+        let k = cuts[(pick * cuts.len() as f64) as usize] + after;
+        let (got, _) = roundtrip(seed, k);
+        prop_assert_eq!(got, want, "resume from event {} of seed {}", k, seed);
+    }
+}
+
 /// The degenerate cut points: before the first event and after the last.
 #[test]
 fn restore_at_boundaries_is_bit_identical() {
@@ -248,4 +295,18 @@ fn restore_rejects_corrupt_container() {
             "byte flip at {pos} restored silently"
         );
     }
+}
+
+/// The host timer words changed with `rocc-snapshot/v2`; a file written
+/// under the v1 magic is refused by magic before any decoding.
+#[test]
+fn a_v1_snapshot_is_refused_by_magic() {
+    assert_eq!(snapshot::SNAPSHOT_MAGIC, b"rocc-snapshot/v2");
+    let mut donor = build_chaos(7);
+    while donor.events_processed() < 1000 && donor.step() {}
+    let mut bytes = donor.snapshot();
+    bytes[..16].copy_from_slice(b"rocc-snapshot/v1");
+    assert_eq!(snapshot::inspect(&bytes), Err(snapshot::SnapshotError::BadMagic));
+    let mut sim = build_chaos(7);
+    assert_eq!(sim.restore(&bytes), Err(snapshot::SnapshotError::BadMagic));
 }
