@@ -180,23 +180,24 @@ struct Baseline {
 
 /// Read the committed baseline document (the previous ratchet entry).
 /// A missing file is not an error — first runs and fresh checkouts just
-/// get neutral speedups.
+/// get neutral speedups — but a malformed one is.
 fn load_baseline(path: &str) -> Baseline {
-    let Ok(doc) = std::fs::read_to_string(path) else {
+    let Ok(text) = std::fs::read_to_string(path) else {
         eprintln!("note: no baseline at {path}; speedups will read 1.00x");
         return Baseline {
             events_per_sec: None,
             sweep_wall_seconds: None,
         };
     };
-    let serial = ratchet::json_number(&doc, "serial_wall_seconds");
-    let parallel = ratchet::json_number(&doc, "parallel_wall_seconds");
+    let doc = rocc_sim::json::parse(&text).unwrap_or_else(|e| panic!("baseline {path}: {e}"));
+    let serial = ratchet::metric(&doc, "sweep.serial_wall_seconds");
+    let parallel = ratchet::metric(&doc, "sweep.parallel_wall_seconds");
     let sweep = match (serial, parallel) {
         (Some(s), Some(p)) => Some(s.min(p)),
         (s, p) => s.or(p),
     };
     Baseline {
-        events_per_sec: ratchet::json_number(&doc, "events_per_sec"),
+        events_per_sec: ratchet::metric(&doc, "engine.events_per_sec"),
         sweep_wall_seconds: sweep,
     }
 }
@@ -262,7 +263,7 @@ fn cmd_bench(out_dir: &str, baseline_path: &str) {
 fn cmd_check(fresh_path: &str, base_path: &str) {
     let fresh = std::fs::read_to_string(fresh_path).expect("read fresh BENCH_sim.json");
     let base = std::fs::read_to_string(base_path).expect("read base BENCH_sim.json");
-    let verdicts = ratchet::check(&fresh, &base);
+    let verdicts = ratchet::check(&fresh, &base).unwrap_or_else(|e| panic!("perf check: {e}"));
     let mut failed = false;
     for v in &verdicts {
         if v.failed() {
@@ -282,7 +283,7 @@ fn cmd_check(fresh_path: &str, base_path: &str) {
 fn cmd_ratchet(fresh_path: &str, base_path: &str, out_path: &str) {
     let fresh = std::fs::read_to_string(fresh_path).expect("read fresh BENCH_sim.json");
     let base = std::fs::read_to_string(base_path).expect("read base BENCH_sim.json");
-    let (next, log) = ratchet::advance(&fresh, &base);
+    let (next, log) = ratchet::advance(&fresh, &base).unwrap_or_else(|e| panic!("perf ratchet: {e}"));
     for line in &log {
         println!("  {line}");
     }

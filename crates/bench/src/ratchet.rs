@@ -7,9 +7,12 @@
 //! values — so improvements tighten the gate automatically while noise
 //! within tolerance never loosens it.
 //!
-//! The JSON is hand-rolled on the write side and flat-parsed here, which
-//! works because every metric key in the v2 schema is globally unique in
-//! the document (`engine_wall_seconds` vs `serial_wall_seconds`, etc.).
+//! The JSON is hand-rolled on the write side and read here through the
+//! strict parser in `rocc_stats::json`; each metric is addressed by its
+//! dotted path (`engine.events_per_sec`), and a malformed document is a
+//! typed error rather than a missing metric.
+
+use rocc_sim::json::{self, JsonError, Value};
 
 /// Which way is better for a metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,8 +38,8 @@ pub enum Tolerance {
 /// One gated metric of the v2 benchmark document.
 #[derive(Debug, Clone, Copy)]
 pub struct Metric {
-    /// The (globally unique) JSON key.
-    pub key: &'static str,
+    /// Dotted path of the metric in the document.
+    pub path: &'static str,
     /// Which way improvement points.
     pub direction: Direction,
     /// Allowed regression before the gate trips.
@@ -55,22 +58,22 @@ pub struct Metric {
 /// recalibrated to 5% to keep gating the same absolute budget.
 pub const METRICS: &[Metric] = &[
     Metric {
-        key: "events_per_sec",
+        path: "engine.events_per_sec",
         direction: Direction::Higher,
         tolerance: Tolerance::Relative(0.20),
     },
     Metric {
-        key: "serial_wall_seconds",
+        path: "sweep.serial_wall_seconds",
         direction: Direction::Lower,
         tolerance: Tolerance::Relative(0.25),
     },
     Metric {
-        key: "parallel_wall_seconds",
+        path: "sweep.parallel_wall_seconds",
         direction: Direction::Lower,
         tolerance: Tolerance::Relative(0.25),
     },
     Metric {
-        key: "profiler_overhead_pct",
+        path: "profiler.profiler_overhead_pct",
         direction: Direction::Lower,
         tolerance: Tolerance::AbsoluteMax(5.0),
     },
@@ -89,38 +92,10 @@ pub fn speedup(numer: Option<f64>, denom: Option<f64>) -> f64 {
     }
 }
 
-/// Extract `"key":<number>` from a flat-enough JSON document, or `None`
-/// if the key is absent. (Keys in the v2 schema are globally unique; the
-/// leading quote in the needle keeps `events_per_sec` from matching
-/// inside `profiled_events_per_sec`.)
-pub fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)?;
-    let rest = &doc[at + needle.len()..];
-    let end = rest
-        .find(|c: char| {
-            !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+')
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Replace the number following `"key":` with `value`, returning the new
-/// document. Panics if the key is absent — [`advance`] only rewrites keys
-/// it just read.
-fn replace_number(doc: &str, key: &str, value: f64) -> String {
-    let needle = format!("\"{key}\":");
-    let at = doc
-        .find(&needle)
-        .unwrap_or_else(|| panic!("key {key:?} missing from JSON"));
-    let start = at + needle.len();
-    let rest = &doc[start..];
-    let end = rest
-        .find(|c: char| {
-            !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+')
-        })
-        .unwrap_or(rest.len());
-    format!("{}{}{}", &doc[..start], value, &doc[start + end..])
+/// The number at dotted `path` in a parsed benchmark document, or `None`
+/// if it is absent or not a number.
+pub fn metric(doc: &Value, path: &str) -> Option<f64> {
+    doc.path(path)?.value.as_f64()
 }
 
 /// One metric's verdict from [`check`].
@@ -153,27 +128,29 @@ impl Verdict {
 /// verdict per metric in [`METRICS`]. A metric missing from the *fresh*
 /// document is a hard failure (the benchmark should always emit the full
 /// schema); missing from the *baseline* it passes as [`Verdict::NoBaseline`]
-/// so a schema upgrade can land before its first ratchet advance.
-pub fn check(fresh: &str, base: &str) -> Vec<Verdict> {
-    METRICS
+/// so a schema upgrade can land before its first ratchet advance. Either
+/// document failing to parse is an error.
+pub fn check(fresh: &str, base: &str) -> Result<Vec<Verdict>, JsonError> {
+    let (fresh, base) = (json::parse(fresh)?, json::parse(base)?);
+    let verdicts = METRICS
         .iter()
         .map(|m| {
-            let Some(f) = json_number(fresh, m.key) else {
-                return Verdict::Fail(format!("{}: missing from fresh benchmark", m.key));
+            let Some(f) = metric(&fresh, m.path) else {
+                return Verdict::Fail(format!("{}: missing from fresh benchmark", m.path));
             };
             match m.tolerance {
                 Tolerance::AbsoluteMax(max) => {
                     if f > max {
-                        Verdict::Fail(format!("{}: {f:.3} exceeds absolute ceiling {max}", m.key))
+                        Verdict::Fail(format!("{}: {f:.3} exceeds absolute ceiling {max}", m.path))
                     } else {
-                        Verdict::Pass(format!("{}: {f:.3} <= ceiling {max}", m.key))
+                        Verdict::Pass(format!("{}: {f:.3} <= ceiling {max}", m.path))
                     }
                 }
                 Tolerance::Relative(tol) => {
-                    let Some(b) = json_number(base, m.key) else {
+                    let Some(b) = metric(&base, m.path) else {
                         return Verdict::NoBaseline(format!(
                             "{}: no baseline yet (fresh {f:.3})",
-                            m.key
+                            m.path
                         ));
                     };
                     let (bad, bound) = match m.direction {
@@ -182,7 +159,7 @@ pub fn check(fresh: &str, base: &str) -> Vec<Verdict> {
                     };
                     let line = format!(
                         "{}: fresh {f:.3} vs ratchet {b:.3} (bound {bound:.3})",
-                        m.key
+                        m.path
                     );
                     if bad {
                         Verdict::Fail(format!("REGRESSION {line}"))
@@ -192,7 +169,8 @@ pub fn check(fresh: &str, base: &str) -> Vec<Verdict> {
                 }
             }
         })
-        .collect()
+        .collect();
+    Ok(verdicts)
 }
 
 /// Fold a fresh run into the ratchet: start from the fresh document (so
@@ -201,19 +179,21 @@ pub fn check(fresh: &str, base: &str) -> Vec<Verdict> {
 /// baseline is still better, keep the baseline's value. Returns the new
 /// ratchet document and a log line per retained/advanced metric.
 /// Absolute-ceiling metrics always carry the fresh value: their gate does
-/// not move.
-pub fn advance(fresh: &str, base: &str) -> (String, Vec<String>) {
-    let mut doc = fresh.to_string();
+/// not move. Kept values are spliced over the fresh number's source text,
+/// so every other byte of the fresh document carries over unchanged.
+pub fn advance(fresh: &str, base: &str) -> Result<(String, Vec<String>), JsonError> {
+    let (fresh_doc, base_doc) = (json::parse(fresh)?, json::parse(base)?);
+    let mut kept = Vec::new();
     let mut log = Vec::new();
     for m in METRICS {
         let Tolerance::Relative(_) = m.tolerance else {
             continue;
         };
-        let Some(f) = json_number(fresh, m.key) else {
+        let Some(f) = metric(&fresh_doc, m.path) else {
             continue;
         };
-        let Some(b) = json_number(base, m.key) else {
-            log.push(format!("{}: seeded at {f:.3}", m.key));
+        let Some(b) = metric(&base_doc, m.path) else {
+            log.push(format!("{}: seeded at {f:.3}", m.path));
             continue;
         };
         let base_better = match m.direction {
@@ -221,18 +201,28 @@ pub fn advance(fresh: &str, base: &str) -> (String, Vec<String>) {
             Direction::Lower => b < f,
         };
         if base_better {
-            doc = replace_number(&doc, m.key, b);
-            log.push(format!("{}: kept ratchet {b:.3} (fresh {f:.3})", m.key));
+            let span = fresh_doc.path(m.path).expect("metric just read").span.clone();
+            kept.push((span, b));
+            log.push(format!("{}: kept ratchet {b:.3} (fresh {f:.3})", m.path));
         } else {
-            log.push(format!("{}: advanced {b:.3} -> {f:.3}", m.key));
+            log.push(format!("{}: advanced {b:.3} -> {f:.3}", m.path));
         }
     }
-    (doc, log)
+    let mut doc = fresh.to_string();
+    kept.sort_by_key(|(span, _)| std::cmp::Reverse(span.start));
+    for (span, b) in kept {
+        doc.replace_range(span, &b.to_string());
+    }
+    Ok((doc, log))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn num(doc: &str, path: &str) -> Option<f64> {
+        metric(&json::parse(doc).expect("document parses"), path)
+    }
 
     fn v2_doc(eps: f64, serial: f64, parallel: f64, overhead: f64) -> String {
         format!(
@@ -245,7 +235,7 @@ mod tests {
     #[test]
     fn identical_rerun_passes_check() {
         let doc = v2_doc(5.0e6, 0.14, 0.10, 1.2);
-        let verdicts = check(&doc, &doc);
+        let verdicts = check(&doc, &doc).unwrap();
         assert_eq!(verdicts.len(), METRICS.len());
         assert!(verdicts.iter().all(|v| !v.failed()), "{verdicts:?}");
     }
@@ -255,22 +245,22 @@ mod tests {
         let base = v2_doc(5.0e6, 0.14, 0.10, 1.2);
         // Throughput down 30% (> 20% slack).
         let slow = v2_doc(3.5e6, 0.14, 0.10, 1.2);
-        assert!(check(&slow, &base).iter().any(|v| v.failed()));
+        assert!(check(&slow, &base).unwrap().iter().any(|v| v.failed()));
         // Serial sweep up 50% (> 25% slack).
         let sweepy = v2_doc(5.0e6, 0.21, 0.10, 1.2);
-        assert!(check(&sweepy, &base).iter().any(|v| v.failed()));
+        assert!(check(&sweepy, &base).unwrap().iter().any(|v| v.failed()));
         // Profiler overhead above the absolute 5% ceiling — fails even
         // though the baseline's overhead was worse (no ratchet for it).
         let heavy = v2_doc(5.0e6, 0.14, 0.10, 5.4);
         let base_heavy = v2_doc(5.0e6, 0.14, 0.10, 7.0);
-        assert!(check(&heavy, &base_heavy).iter().any(|v| v.failed()));
+        assert!(check(&heavy, &base_heavy).unwrap().iter().any(|v| v.failed()));
     }
 
     #[test]
     fn noise_within_tolerance_passes() {
         let base = v2_doc(5.0e6, 0.14, 0.10, 1.2);
         let noisy = v2_doc(4.2e6, 0.17, 0.12, 2.9);
-        assert!(check(&noisy, &base).iter().all(|v| !v.failed()));
+        assert!(check(&noisy, &base).unwrap().iter().all(|v| !v.failed()));
     }
 
     #[test]
@@ -279,17 +269,17 @@ mod tests {
         // Faster engine, slower sweep: the ratchet should take fresh eps
         // and keep the baseline sweep numbers.
         let fresh = v2_doc(6.0e6, 0.16, 0.12, 2.0);
-        let (next, log) = advance(&fresh, &base);
-        assert_eq!(json_number(&next, "events_per_sec"), Some(6.0e6));
-        assert_eq!(json_number(&next, "serial_wall_seconds"), Some(0.14));
-        assert_eq!(json_number(&next, "parallel_wall_seconds"), Some(0.10));
+        let (next, log) = advance(&fresh, &base).unwrap();
+        assert_eq!(num(&next, "engine.events_per_sec"), Some(6.0e6));
+        assert_eq!(num(&next, "sweep.serial_wall_seconds"), Some(0.14));
+        assert_eq!(num(&next, "sweep.parallel_wall_seconds"), Some(0.10));
         // Overhead is ceiling-gated, not ratcheted: fresh value carries.
-        assert_eq!(json_number(&next, "profiler_overhead_pct"), Some(2.0));
+        assert_eq!(num(&next, "profiler.profiler_overhead_pct"), Some(2.0));
         assert_eq!(log.len(), 3);
         // The advanced ratchet still passes a check against itself and
         // against the run that produced it.
-        assert!(check(&next, &next).iter().all(|v| !v.failed()));
-        assert!(check(&fresh, &next).iter().all(|v| !v.failed()));
+        assert!(check(&next, &next).unwrap().iter().all(|v| !v.failed()));
+        assert!(check(&fresh, &next).unwrap().iter().all(|v| !v.failed()));
     }
 
     #[test]
@@ -299,10 +289,10 @@ mod tests {
         // metric must not fail the check and must seed on advance.
         let v1 = "{\"engine\":{\"events_per_sec\":5000000}}";
         let fresh = v2_doc(4.9e6, 0.14, 0.10, 1.0);
-        assert!(check(&fresh, v1).iter().all(|v| !v.failed()));
-        let (next, _) = advance(&fresh, v1);
-        assert_eq!(json_number(&next, "serial_wall_seconds"), Some(0.14));
-        assert!(check(&fresh, &next).iter().all(|v| !v.failed()));
+        assert!(check(&fresh, v1).unwrap().iter().all(|v| !v.failed()));
+        let (next, _) = advance(&fresh, v1).unwrap();
+        assert_eq!(num(&next, "sweep.serial_wall_seconds"), Some(0.14));
+        assert!(check(&fresh, &next).unwrap().iter().all(|v| !v.failed()));
     }
 
     #[test]
@@ -319,11 +309,27 @@ mod tests {
     }
 
     #[test]
-    fn json_number_respects_key_boundaries() {
-        let doc = "{\"profiled_events_per_sec\":1.0,\"events_per_sec\":2.0}";
-        assert_eq!(json_number(doc, "events_per_sec"), Some(2.0));
-        assert_eq!(json_number(doc, "profiled_events_per_sec"), Some(1.0));
-        assert_eq!(json_number(doc, "absent"), None);
-        assert_eq!(json_number("{\"x\":3.5e-2}", "x"), Some(0.035));
+    fn metric_paths_respect_key_boundaries() {
+        let doc = "{\"profiled_events_per_sec\":1.0,\"engine\":{\"events_per_sec\":2.0}}";
+        assert_eq!(num(doc, "engine.events_per_sec"), Some(2.0));
+        assert_eq!(num(doc, "profiled_events_per_sec"), Some(1.0));
+        assert_eq!(num(doc, "events_per_sec"), None);
+        assert_eq!(num(doc, "absent"), None);
+        assert_eq!(num("{\"x\":3.5e-2}", "x"), Some(0.035));
+    }
+
+    #[test]
+    fn advance_splices_kept_values_and_rejects_malformed_docs() {
+        let base = v2_doc(5.0e6, 0.14, 0.10, 1.2);
+        let fresh = v2_doc(6.0e6, 0.16, 0.12, 2.0);
+        let (next, _) = advance(&fresh, &base).unwrap();
+        let expect = fresh
+            .replace("\"serial_wall_seconds\":0.16", "\"serial_wall_seconds\":0.14")
+            .replace("\"parallel_wall_seconds\":0.12", "\"parallel_wall_seconds\":0.1");
+        assert_eq!(next, expect, "only the kept numbers change");
+        let torn = &fresh[..fresh.len() - 2];
+        assert!(check(torn, &base).is_err());
+        assert!(check(&fresh, torn).is_err());
+        assert!(advance(&fresh, "{\"engine\":{\"events_per_sec\":NaN}}").is_err());
     }
 }

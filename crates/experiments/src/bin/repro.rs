@@ -906,10 +906,13 @@ fn main() {
             // Runs on different scheduler backends are not seed noise —
             // refuse to diff them as if they were (use `repro diverge`
             // to localize a backend disagreement instead).
-            let (ba, bb) = (
-                observatory::manifest_field(a, "sched_backend"),
-                observatory::manifest_field(b, "sched_backend"),
-            );
+            let backend = |run: &str| {
+                observatory::manifest_field(run, "sched_backend").unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    std::process::exit(1);
+                })
+            };
+            let (ba, bb) = (backend(a), backend(b));
             if let (Some(ba), Some(bb)) = (&ba, &bb) {
                 if ba != bb {
                     eprintln!(

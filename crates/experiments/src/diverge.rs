@@ -199,11 +199,9 @@ pub fn record_ledger(
         .ok_or_else(|| format!("unknown diverge scenario: {scenario}"))?;
     sim.enable_digest_ledger(stride);
     if let Some(at) = spec.flip_at {
-        // Step manually up to the flip point and inject, then hand the
-        // run to the run loop, which owns ledger recording. (Manual
-        // steps don't record, so a flipped ledger starts at the first
-        // stride boundary past the flip; pre-flip rows come from the
-        // clean side of the comparison.)
+        // Step up to the flip point and inject, then run to the end.
+        // Stepping goes through the same run loop, so the pre-flip rows
+        // are recorded too and match the clean ledger row for row.
         while sim.events_processed() < at && sim.step() {}
         sim.inject_rp_perturbation();
     }

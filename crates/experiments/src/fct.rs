@@ -12,6 +12,7 @@ use crate::schemes::Scheme;
 use crate::supervisor::{CampaignReport, FnCodec, Supervisor};
 use crate::Scale;
 use rocc_sim::prelude::*;
+use rocc_stats::json::{self, JsonError, Value};
 use rocc_stats::{bin_values, mean_ci95, percentile, MeanCi};
 use rocc_workloads::{FlowSizeDist, PoissonWorkload};
 
@@ -93,7 +94,7 @@ impl FatTreeConfig {
 }
 
 /// Everything measured in one fat-tree run.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct RunOutput {
     /// (flow size, FCT seconds) for every completed flow.
     pub fcts: Vec<(u64, f64)>,
@@ -152,53 +153,35 @@ impl RunOutput {
     }
 
     /// Strict parse of [`RunOutput::to_json`] output. Any anomaly (torn
-    /// journal line, schema drift) yields `None`, which makes the
+    /// journal line, schema drift) is a typed error, which makes the
     /// supervisor re-run the cell — always safe.
-    pub fn from_json(s: &str) -> Option<RunOutput> {
-        fn between<'a>(s: &'a str, start: &str, end: &str) -> Option<&'a str> {
-            let i = s.find(start)? + start.len();
-            let j = s[i..].find(end)? + i;
-            Some(&s[i..j])
+    pub fn from_json(s: &str) -> Result<RunOutput, JsonError> {
+        fn three<T: Copy>(v: &Value, read: impl Fn(&Value) -> Option<T>) -> Option<[T; 3]> {
+            v.as_array()?.iter().map(read).collect::<Option<Vec<T>>>()?.try_into().ok()
         }
-        let fcts_raw = between(s, "\"fcts\":[", "],\"pfc\":[")?;
-        let mut fcts = Vec::new();
-        if !fcts_raw.is_empty() {
-            for pair in fcts_raw.split("],[") {
-                let pair = pair.trim_start_matches('[').trim_end_matches(']');
-                let (a, b) = pair.split_once(',')?;
-                fcts.push((a.parse().ok()?, b.parse().ok()?));
-            }
-        }
-        let pfc: Vec<u64> = between(s, "\"pfc\":[", "],\"q\":[")?
-            .split(',')
-            .map(|v| v.parse().ok())
-            .collect::<Option<_>>()?;
-        let q: Vec<f64> = between(s, "\"q\":[", "],\"retx_bytes\":")?
-            .split(',')
-            .map(|v| v.parse().ok())
-            .collect::<Option<_>>()?;
-        if pfc.len() != 3 || q.len() != 3 {
-            return None;
-        }
-        Some(RunOutput {
+        let o = json::parse_object(s)?;
+        let fcts = o.read("fcts", "array of [size, fct] pairs", |v| {
+            let pair = |p: &Value| match p.as_array()? {
+                [size, fct] => Some((size.as_u64()?, fct.as_f64()?)),
+                _ => None,
+            };
+            v.as_array()?.iter().map(pair).collect()
+        })?;
+        let [pfc_core, pfc_ingress, pfc_egress] = o.read("pfc", "[u64; 3]", |v| three(v, Value::as_u64))?;
+        let [q_core, q_ingress, q_egress] = o.read("q", "[f64; 3]", |v| three(v, Value::as_f64))?;
+        Ok(RunOutput {
             fcts,
-            pfc_core: pfc[0],
-            pfc_ingress: pfc[1],
-            pfc_egress: pfc[2],
-            q_core: q[0],
-            q_ingress: q[1],
-            q_egress: q[2],
-            retx_bytes: between(s, "\"retx_bytes\":", ",\"tx_data_bytes\":")?.parse().ok()?,
-            tx_data_bytes: between(s, "\"tx_data_bytes\":", ",\"drops\":")?.parse().ok()?,
-            drops: between(s, "\"drops\":", ",\"offered_flows\":")?.parse().ok()?,
-            offered_flows: between(s, "\"offered_flows\":", ",\"all_completed\":")?
-                .parse()
-                .ok()?,
-            all_completed: match between(s, "\"all_completed\":", "}")? {
-                "true" => true,
-                "false" => false,
-                _ => return None,
-            },
+            pfc_core,
+            pfc_ingress,
+            pfc_egress,
+            q_core,
+            q_ingress,
+            q_egress,
+            retx_bytes: o.u64("retx_bytes")?,
+            tx_data_bytes: o.u64("tx_data_bytes")?,
+            drops: o.u64("drops")?,
+            offered_flows: o.read("offered_flows", "usize", |v| v.as_u64()?.try_into().ok())?,
+            all_completed: o.bool("all_completed")?,
         })
     }
 }
@@ -659,7 +642,7 @@ pub fn fct_grid_supervised(
             )
         })
         .collect();
-    let codec = FnCodec(RunOutput::to_json, RunOutput::from_json);
+    let codec = FnCodec(RunOutput::to_json, |s: &str| RunOutput::from_json(s).ok());
     let campaign = sup.run(cells, &codec, |&(si, rep)| {
         let (out, verdict) = run_fat_tree_verdict(
             schemes[si],
@@ -831,8 +814,8 @@ mod tests {
         assert_eq!(back.to_json(), json, "re-encode must be byte-identical");
         assert_eq!(back.fcts, out.fcts);
         // A torn journal value must be rejected, not half-parsed.
-        assert!(RunOutput::from_json(&json[..json.len() - 3]).is_none());
-        assert!(RunOutput::from_json("{}").is_none());
+        assert!(RunOutput::from_json(&json[..json.len() - 3]).is_err());
+        assert!(RunOutput::from_json("{}").is_err());
     }
 
     #[test]

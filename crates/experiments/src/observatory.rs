@@ -34,6 +34,7 @@ use crate::Scale;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rocc_sim::prelude::*;
+use rocc_stats::json::{self, escape, JsonError};
 use rocc_stats::{convergence_time, histogram_distance, jain_fairness, percentile};
 use std::collections::BTreeMap;
 
@@ -80,11 +81,12 @@ pub struct ObserveRun {
 impl ObserveRun {
     /// The run manifest as one JSON document.
     pub fn manifest_json(&self) -> String {
-        let fid = summarize_metrics(&self.metrics_jsonl);
+        let fid = summarize_metrics(&self.metrics_jsonl)
+            .expect("the observatory's own metrics JSONL parses");
         let env: Vec<String> = self
             .env_overrides
             .iter()
-            .map(|(k, v)| format!("\"{}\":\"{}\"", k, v.replace('\\', "\\\\").replace('"', "\\\"")))
+            .map(|(k, v)| format!("\"{}\":\"{}\"", escape(k), escape(v)))
             .collect();
         format!(
             concat!(
@@ -348,26 +350,21 @@ impl SweepCellSummary {
         )
     }
 
-    /// Strict parse of [`SweepCellSummary::to_json`]; `None` on any
-    /// anomaly (the supervisor then re-runs the cell).
-    pub fn from_json(s: &str) -> Option<SweepCellSummary> {
-        fn between<'a>(s: &'a str, start: &str, end: &str) -> Option<&'a str> {
-            let i = s.find(start)? + start.len();
-            let j = s[i..].find(end)? + i;
-            Some(&s[i..j])
-        }
-        let metrics_digest =
-            between(s, "\"metrics_digest\":\"", "\"")?.to_string();
-        let config_hash = between(s, "\"config_hash\":\"", "\"")?.to_string();
-        if metrics_digest.len() != 16 || config_hash.len() != 16 {
-            return None;
-        }
-        Some(SweepCellSummary {
-            seed: between(s, "{\"seed\":", ",")?.parse().ok()?,
-            flows: between(s, "\"flows\":", ",")?.parse().ok()?,
-            completed: between(s, "\"completed\":", ",")?.parse().ok()?,
-            metrics_digest,
-            config_hash,
+    /// Strict parse of [`SweepCellSummary::to_json`]; a typed error on
+    /// any anomaly (the supervisor then re-runs the cell).
+    pub fn from_json(s: &str) -> Result<SweepCellSummary, JsonError> {
+        let o = json::parse_object(s)?;
+        let hex16 = |key| {
+            o.read(key, "16-digit hex digest", |v| {
+                v.as_str().filter(|h| h.len() == 16).map(str::to_string)
+            })
+        };
+        Ok(SweepCellSummary {
+            seed: o.u64("seed")?,
+            flows: o.u64("flows")?,
+            completed: o.u64("completed")?,
+            metrics_digest: hex16("metrics_digest")?,
+            config_hash: hex16("config_hash")?,
         })
     }
 }
@@ -450,7 +447,9 @@ pub fn sweep_with_snapshots(
         .iter()
         .map(|&seed| (sweep_cell_key(scenario, scale, &config_hash, seed), seed))
         .collect();
-    let codec = FnCodec(SweepCellSummary::to_json, SweepCellSummary::from_json);
+    let codec = FnCodec(SweepCellSummary::to_json, |s: &str| {
+        SweepCellSummary::from_json(s).ok()
+    });
     let scenario_owned = scenario.to_string();
     let summarize = |run: ObserveRun| match run.verdict.err() {
         Some(e) => Err(e.clone()),
@@ -542,30 +541,37 @@ impl FidelitySummary {
     }
 }
 
-/// Extract an unsigned integer field from one JSONL line.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The fields of one metrics row the fidelity summary reads.
+enum Row {
+    Flow { flow: u64, goodput_bps: u64 },
+    Cp { cp: (u64, u64), fair_rate_units: u64 },
+    Queue { bytes: u64 },
+    Pfc { cum_pause_ns: u64 },
+    /// A row type the summary does not use.
+    Other,
 }
 
-/// Does the line carry the given `"type"` tag?
-fn is_row(line: &str, ty: &str) -> bool {
-    line.contains(&format!("\"type\":\"{ty}\""))
+/// Decode one metrics row: `t_ns` plus the fields of its `type`.
+fn metric_row(o: &json::Object) -> Result<(u64, Row), JsonError> {
+    let row = match o.str("type")? {
+        "flow" => Row::Flow { flow: o.u64("flow")?, goodput_bps: o.u64("goodput_bps")? },
+        "cp" => Row::Cp {
+            cp: (o.u64("node")?, o.u64("port")?),
+            fair_rate_units: o.u64("fair_rate_units")?,
+        },
+        "queue" => Row::Queue { bytes: o.u64("bytes")? },
+        "pfc" => Row::Pfc { cum_pause_ns: o.u64("cum_pause_ns")? },
+        _ => Row::Other,
+    };
+    Ok((o.u64("t_ns")?, row))
 }
 
-/// Reduce a metrics JSONL document to its [`FidelitySummary`].
-pub fn summarize_metrics(jsonl: &str) -> FidelitySummary {
-    let mut t_max: u64 = 0;
-    for line in jsonl.lines() {
-        if let Some(t) = field_u64(line, "t_ns") {
-            t_max = t_max.max(t);
-        }
-    }
+/// Reduce a metrics JSONL document to its [`FidelitySummary`]. Every line
+/// must parse strictly; the first bad one is the error (with its line
+/// number).
+pub fn summarize_metrics(jsonl: &str) -> Result<FidelitySummary, JsonError> {
+    let rows = json::parse_jsonl(jsonl, metric_row).collect::<Result<Vec<_>, _>>()?;
+    let t_max = rows.iter().map(|&(t, _)| t).max().unwrap_or(0);
     let tail_from = t_max / 2;
 
     // Per-flow mean goodput over the tail half → Jain.
@@ -577,38 +583,25 @@ pub fn summarize_metrics(jsonl: &str) -> FidelitySummary {
     let mut queue_hist = Histogram::new();
     let mut cum_pause_ns: u64 = 0;
 
-    for line in jsonl.lines() {
-        let Some(t) = field_u64(line, "t_ns") else {
-            continue;
-        };
-        if is_row(line, "flow") {
-            if t >= tail_from {
-                if let (Some(f), Some(g)) = (field_u64(line, "flow"), field_u64(line, "goodput_bps")) {
-                    let e = goodput.entry(f).or_insert((0.0, 0));
-                    e.0 += g as f64;
-                    e.1 += 1;
-                }
+    for (t, row) in rows {
+        match row {
+            Row::Flow { flow, goodput_bps } if t >= tail_from => {
+                let e = goodput.entry(flow).or_insert((0.0, 0));
+                e.0 += goodput_bps as f64;
+                e.1 += 1;
             }
-        } else if is_row(line, "cp") {
-            if let (Some(n), Some(p), Some(r)) = (
-                field_u64(line, "node"),
-                field_u64(line, "port"),
-                field_u64(line, "fair_rate_units"),
-            ) {
+            Row::Cp { cp, fair_rate_units } => {
                 cp_series
-                    .entry((n, p))
+                    .entry(cp)
                     .or_default()
-                    .push((t as f64 / 1e9, r as f64));
+                    .push((t as f64 / 1e9, fair_rate_units as f64));
             }
-        } else if is_row(line, "queue") {
-            if let Some(b) = field_u64(line, "bytes") {
-                queue_samples.push(b as f64);
-                queue_hist.record(b);
+            Row::Queue { bytes } => {
+                queue_samples.push(bytes as f64);
+                queue_hist.record(bytes);
             }
-        } else if is_row(line, "pfc") {
-            if let Some(c) = field_u64(line, "cum_pause_ns") {
-                cum_pause_ns = cum_pause_ns.max(c);
-            }
+            Row::Pfc { cum_pause_ns: c } => cum_pause_ns = cum_pause_ns.max(c),
+            Row::Flow { .. } | Row::Other => {}
         }
     }
 
@@ -630,13 +623,13 @@ pub fn summarize_metrics(jsonl: &str) -> FidelitySummary {
 
     let queue_p99 = percentile(&queue_samples, 0.99).unwrap_or(0.0);
 
-    FidelitySummary {
+    Ok(FidelitySummary {
         jain,
         conv_time_s,
         queue_p99,
         cum_pause_ns,
         queue_buckets: queue_hist.nonempty_buckets(),
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -782,56 +775,50 @@ pub fn compare(a: &FidelitySummary, b: &FidelitySummary) -> CompareReport {
     CompareReport { checks }
 }
 
+/// The first `<prefix>*<suffix>` file in `dir`, in sorted order.
+fn find_artifact(dir: &std::path::Path, prefix: &str, suffix: &str) -> Option<std::path::PathBuf> {
+    let mut entries: Vec<_> =
+        std::fs::read_dir(dir).ok()?.filter_map(|e| e.ok().map(|e| e.path())).collect();
+    entries.sort();
+    entries.into_iter().find(|e| {
+        let name = e.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        name.starts_with(prefix) && name.ends_with(suffix)
+    })
+}
+
 /// Locate the metrics JSONL for a run directory (or accept a direct file
 /// path), read it, and summarize. Returns an error string suitable for
-/// the CLI.
+/// the CLI; a malformed line is reported with its line number.
 pub fn load_summary(path: &str) -> Result<FidelitySummary, String> {
     let p = std::path::Path::new(path);
     let file = if p.is_dir() {
-        let mut found = None;
-        let mut entries: Vec<_> = std::fs::read_dir(p)
-            .map_err(|e| format!("cannot read {path}: {e}"))?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .collect();
-        entries.sort();
-        for e in entries {
-            let name = e.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name.starts_with("metrics_") && name.ends_with(".jsonl") {
-                found = Some(e);
-                break;
-            }
-        }
-        found.ok_or_else(|| format!("no metrics_*.jsonl in {path}"))?
+        find_artifact(p, "metrics_", ".jsonl").ok_or_else(|| format!("no metrics_*.jsonl in {path}"))?
     } else {
         p.to_path_buf()
     };
     let jsonl = std::fs::read_to_string(&file)
         .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
-    Ok(summarize_metrics(&jsonl))
+    summarize_metrics(&jsonl).map_err(|e| format!("{}: {e}", file.display()))
 }
 
 /// Read one string field out of a run's manifest. `path` is what the
 /// user handed `repro compare`: a run directory (the `manifest_*.json`
 /// inside it is used) or a direct `metrics_*.jsonl` path (the sibling
-/// manifest is used). `None` when no manifest is found or the field is
-/// absent — older runs predate some manifest fields, and comparison
-/// falls back to the old silent behavior rather than failing.
-pub fn manifest_field(path: &str, key: &str) -> Option<String> {
+/// manifest is used). `Ok(None)` when no manifest is found or the field
+/// is absent — older runs predate some manifest fields, and comparison
+/// falls back to the old behavior. A manifest that does not parse, or
+/// whose field is not a string, is an error.
+pub fn manifest_field(path: &str, key: &str) -> Result<Option<String>, String> {
     let p = std::path::Path::new(path);
-    let dir = if p.is_dir() { p } else { p.parent()? };
-    let mut entries: Vec<_> = std::fs::read_dir(dir)
-        .ok()?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .collect();
-    entries.sort();
-    for e in entries {
-        let name = e.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if name.starts_with("manifest_") && name.ends_with(".json") {
-            let doc = std::fs::read_to_string(&e).ok()?;
-            return field_str(&doc, key);
-        }
-    }
-    None
+    let dir = if p.is_dir() { p } else { p.parent().unwrap_or(p) };
+    let Some(file) = find_artifact(dir, "manifest_", ".json") else {
+        return Ok(None);
+    };
+    let doc = std::fs::read_to_string(&file)
+        .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
+    json::parse_object(&doc)
+        .and_then(|o| o.member(key).map(|_| o.str(key).map(str::to_string)).transpose())
+        .map_err(|e| format!("{}: {e}", file.display()))
 }
 
 // ---------------------------------------------------------------------------
@@ -849,7 +836,9 @@ pub fn golden_json(run: &ObserveRun) -> String {
         scale_name(run.scale),
         run.seed,
         digest(&run.metrics_jsonl),
-        summarize_metrics(&run.metrics_jsonl).to_json(),
+        summarize_metrics(&run.metrics_jsonl)
+            .expect("the observatory's own metrics JSONL parses")
+            .to_json(),
     )
 }
 
@@ -864,8 +853,9 @@ pub fn golden_run() -> ObserveRun {
 pub fn golden_check(path: &str) -> Result<String, String> {
     let committed =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read golden {path}: {e}"))?;
-    let want = field_str(&committed, "metrics_digest")
-        .ok_or_else(|| format!("golden {path} has no metrics_digest field"))?;
+    let want = json::parse_object(&committed)
+        .and_then(|o| Ok(o.str("metrics_digest")?.to_string()))
+        .map_err(|e| format!("golden {path}: {e}"))?;
     let run = golden_run();
     let got = digest(&run.metrics_jsonl);
     if got == want {
@@ -878,15 +868,6 @@ pub fn golden_check(path: &str) -> Result<String, String> {
              and commit the new {path}."
         ))
     }
-}
-
-/// Extract a string field from a JSON document.
-fn field_str(doc: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = doc.find(&pat)? + pat.len();
-    let rest = &doc[start..];
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
 }
 
 #[cfg(test)]
@@ -910,9 +891,9 @@ mod tests {
             config_hash: "fedcba9876543210".to_string(),
         };
         let json = c.to_json();
-        assert_eq!(SweepCellSummary::from_json(&json), Some(c.clone()));
-        assert_eq!(SweepCellSummary::from_json(&json[..json.len() - 9]), None);
-        assert_eq!(SweepCellSummary::from_json("{}"), None);
+        assert_eq!(SweepCellSummary::from_json(&json), Ok(c.clone()));
+        assert!(SweepCellSummary::from_json(&json[..json.len() - 9]).is_err());
+        assert!(SweepCellSummary::from_json("{}").is_err());
     }
 
     #[test]
@@ -927,15 +908,17 @@ mod tests {
     }
 
     #[test]
-    fn field_extractors_parse_metric_rows() {
+    fn metric_rows_decode_strictly() {
         let line = "{\"t_ns\":3000,\"type\":\"queue\",\"node\":2,\"port\":1,\"bytes\":4096}";
-        assert_eq!(field_u64(line, "t_ns"), Some(3000));
-        assert_eq!(field_u64(line, "bytes"), Some(4096));
-        assert_eq!(field_u64(line, "missing"), None);
-        assert!(is_row(line, "queue"));
-        assert!(!is_row(line, "flow"));
-        let doc = "{\"metrics_digest\":\"00ff\",\"x\":1}";
-        assert_eq!(field_str(doc, "metrics_digest").as_deref(), Some("00ff"));
+        let o = json::parse_object(line).unwrap();
+        assert!(matches!(metric_row(&o), Ok((3000, Row::Queue { bytes: 4096 }))));
+        let o = json::parse_object("{\"t_ns\":1,\"type\":\"queue\"}").unwrap();
+        let e = metric_row(&o).err().unwrap();
+        assert_eq!(e.kind, json::ErrorKind::MissingField("bytes".into()));
+        // A torn second line is an error naming the line, not a skip.
+        let torn = format!("{line}\n{}", &line[..20]);
+        let e = summarize_metrics(&torn).unwrap_err();
+        assert_eq!((e.kind, e.line), (json::ErrorKind::UnexpectedEnd, Some(2)));
     }
 
     #[test]
@@ -962,7 +945,7 @@ mod tests {
                 t / 10
             ));
         }
-        let s = summarize_metrics(&jsonl);
+        let s = summarize_metrics(&jsonl).unwrap();
         assert!((s.jain - 1.0).abs() < 1e-9, "tail goodput is equal: {s:?}");
         // Rate steps 1000 → 500 at t=100 µs and holds: converges there.
         assert!((s.conv_time_s.unwrap() - 1e-4).abs() < 1e-9, "{s:?}");

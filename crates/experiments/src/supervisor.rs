@@ -39,6 +39,7 @@
 
 use crate::parallel::{map_cells, run_isolated, ExecMode};
 use rocc_sim::prelude::SimError;
+use rocc_stats::json::{self, escape, JsonError};
 use std::collections::HashMap;
 use std::fs::OpenOptions;
 use std::io::Write as _;
@@ -100,7 +101,7 @@ impl<R> CellOutcome<R> {
         match self {
             CellOutcome::Ok(_) => None,
             CellOutcome::Panicked { message } => {
-                Some(format!("\"{}\"", json_escape(message)))
+                Some(format!("\"{}\"", escape(message)))
             }
             CellOutcome::FailedVerdict { error } | CellOutcome::BudgetExhausted { error } => {
                 Some(error.to_json())
@@ -206,56 +207,26 @@ pub struct JournalEntry {
 }
 
 impl JournalEntry {
-    fn parse(line: &str) -> Option<JournalEntry> {
-        // Envelope written by `journal_line`: key first, result (if any)
-        // last. A line torn by a crash mid-write fails one of these
-        // anchors (or decodes to garbage later) and is skipped — the cell
-        // re-runs, which is always safe.
-        if !line.starts_with("{\"key\":\"") || !line.ends_with('}') {
-            return None;
-        }
-        let key = take_between(line, "{\"key\":\"", "\"")?.to_string();
-        let outcome = take_between(line, "\"outcome\":\"", "\"")?.to_string();
-        let attempts_str = take_between(line, "\"attempts\":", ",")
-            .or_else(|| take_between(line, "\"attempts\":", "}"))?;
-        let attempts: u32 = attempts_str.trim().parse().ok()?;
+    /// Strict parse of one line written by `journal_line`. A line torn by
+    /// a crash mid-write fails the parse and is skipped — the cell
+    /// re-runs, which is always safe. `result_raw` is the exact source
+    /// text of the `result` member, so a replay decodes the bytes the
+    /// first successful run encoded.
+    fn parse(line: &str) -> Result<JournalEntry, JsonError> {
+        let o = json::parse_object(line)?;
+        let outcome = o.str("outcome")?.to_string();
         let result_raw = if outcome == "ok" {
-            let i = line.find("\"result\":")? + "\"result\":".len();
-            Some(line[i..line.len() - 1].to_string())
+            Some(line[o.field("result")?.span.clone()].to_string())
         } else {
             None
         };
-        Some(JournalEntry {
-            key,
+        Ok(JournalEntry {
+            key: o.str("key")?.to_string(),
             outcome,
-            attempts,
+            attempts: o.read("attempts", "u32", |v| v.as_u64()?.try_into().ok())?,
             result_raw,
         })
     }
-}
-
-/// Substring of `s` strictly between the first `start` marker and the
-/// next `end` marker after it.
-fn take_between<'a>(s: &'a str, start: &str, end: &str) -> Option<&'a str> {
-    let i = s.find(start)? + start.len();
-    let j = s[i..].find(end)? + i;
-    Some(&s[i..j])
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Load a checkpoint journal, tolerating a missing file and a partial
@@ -265,7 +236,7 @@ pub fn load_journal(path: &Path) -> Vec<JournalEntry> {
     let Ok(doc) = std::fs::read_to_string(path) else {
         return Vec::new();
     };
-    doc.lines().filter_map(JournalEntry::parse).collect()
+    doc.lines().filter_map(|l| JournalEntry::parse(l).ok()).collect()
 }
 
 /// One supervised cell's record, in campaign input order.
@@ -356,7 +327,7 @@ impl FailureEntry {
     fn to_json(&self) -> String {
         format!(
             "{{\"key\":\"{}\",\"class\":\"{}\",\"attempts\":{},\"detail\":{}}}",
-            json_escape(&self.key),
+            escape(&self.key),
             self.class,
             self.attempts,
             self.detail_json
@@ -711,13 +682,13 @@ fn journal_line<R, C: CellCodec<R>>(
     match outcome {
         CellOutcome::Ok(r) => format!(
             "{{\"key\":\"{}\",\"outcome\":\"ok\",\"attempts\":{},\"result\":{}}}\n",
-            json_escape(key),
+            escape(key),
             attempts,
             codec.encode(r)
         ),
         other => format!(
             "{{\"key\":\"{}\",\"outcome\":\"{}\",\"attempts\":{},\"detail\":{}}}\n",
-            json_escape(key),
+            escape(key),
             other.class(),
             attempts,
             other.detail_json().unwrap_or_else(|| "null".to_string())
@@ -764,24 +735,53 @@ mod tests {
         assert_eq!(e.outcome, "panicked");
         assert_eq!(e.result_raw, None);
 
-        // Torn writes: wherever the line is cut, it must never replay as
-        // the original cell. Most cuts fail a parse anchor outright; a
-        // cut can land just after a *nested* `}` and still parse, but
-        // then carries a torn `result_raw` that a strict codec rejects —
-        // the cache-load path drops it and the cell re-runs.
-        for cut in 1..ok.len() {
+        // Torn writes: wherever the line is cut, the strict parse rejects
+        // it, so the cache-load path drops it and the cell re-runs.
+        for cut in 0..ok.len() {
             let torn = &ok[..cut];
-            match JournalEntry::parse(torn) {
-                None => {}
-                Some(e) => assert_ne!(
-                    e.result_raw.as_deref(),
-                    Some("{\"x\":[1,2]}"),
-                    "cut at {cut} replayed the full payload: {torn}"
-                ),
-            }
+            assert!(JournalEntry::parse(torn).is_err(), "cut at {cut} parsed: {torn}");
         }
-        assert_eq!(JournalEntry::parse(""), None);
-        assert_eq!(JournalEntry::parse("garbage"), None);
+        assert!(JournalEntry::parse("garbage").is_err());
+        // Keys are escaped on write and decoded on read.
+        let odd = "{\"key\":\"a\\\"b\",\"outcome\":\"ok\",\"attempts\":2,\"result\":7}";
+        let e = JournalEntry::parse(odd).unwrap();
+        assert_eq!((e.key.as_str(), e.result_raw.as_deref()), ("a\"b", Some("7")));
+    }
+
+    /// Key characters that need escaping, plus plain and non-ASCII ones.
+    const KEY_CHARS: [char; 11] = ['a', 'Z', '/', ' ', '"', '\\', '\n', '\t', '\u{1}', 'é', '🎉'];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Whatever `journal_line` writes, `JournalEntry::parse` reads back
+        /// exactly, and every strict prefix of it (a torn write) is rejected.
+        #[test]
+        fn journal_lines_round_trip(
+            codes in proptest::collection::vec(0usize..KEY_CHARS.len(), 0..12),
+            attempts in 0u32..=u32::MAX,
+            ok in 0u8..2,
+            r in 0u64..=u64::MAX,
+        ) {
+            let key: String = codes.iter().map(|&i| KEY_CHARS[i]).collect();
+            let outcome = if ok == 1 {
+                CellOutcome::Ok(r)
+            } else {
+                CellOutcome::Panicked { message: key.clone() }
+            };
+            let line = journal_line(&key, &outcome, attempts, &ok_codec());
+            let body = line.strip_suffix('\n').expect("newline-terminated");
+            let e = JournalEntry::parse(body).unwrap_or_else(|err| panic!("{err}: {body}"));
+            assert_eq!(e.key, key);
+            assert_eq!(e.outcome, outcome.class());
+            assert_eq!(e.attempts, attempts);
+            assert_eq!(e.result_raw, (ok == 1).then(|| r.to_string()));
+            let mut cut = (r % body.len() as u64) as usize;
+            while !body.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            assert!(JournalEntry::parse(&body[..cut]).is_err(), "torn line parsed: {}", &body[..cut]);
+        }
     }
 
     #[test]

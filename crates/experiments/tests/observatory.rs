@@ -7,6 +7,7 @@ use rocc_experiments::observatory::{
     compare, digest, golden_json, incast, observe, summarize_metrics, GOLDEN_SEED,
 };
 use rocc_experiments::Scale;
+use rocc_stats::json;
 
 fn tmp_dir(name: &str) -> String {
     let d = std::env::temp_dir().join(format!("rocc_obs_{name}_{}", std::process::id()));
@@ -56,6 +57,29 @@ fn observe_produces_all_three_artifacts() {
         assert!(meta.len() > 0, "{p} is empty");
     }
     std::fs::remove_dir_all(&dir).ok();
+
+    // Every artifact parses strictly.
+    let rows: Vec<()> = json::parse_jsonl(&run.metrics_jsonl, |_| Ok(()))
+        .collect::<Result<_, _>>()
+        .expect("metrics JSONL parses");
+    assert_eq!(rows.len(), run.metrics_jsonl.lines().count());
+    json::parse(&run.perfetto_json).expect("perfetto trace parses");
+    let m = json::parse_object(&manifest).expect("manifest parses");
+    assert_eq!(m.u64("seed"), Ok(GOLDEN_SEED));
+}
+
+#[test]
+fn manifest_escapes_env_override_keys_and_values() {
+    let mut run = observe("incast", Scale::Quick, GOLDEN_SEED).unwrap();
+    run.env_overrides = vec![
+        ("ROCC_\"ODD\\".to_string(), "two\nlines\t\u{1}".to_string()),
+        ("ROCC_SCHEDULER".to_string(), "wheel".to_string()),
+    ];
+    let manifest = run.manifest_json();
+    let m = json::parse_object(&manifest).expect("manifest with odd env overrides parses");
+    let env = m.read("env_overrides", "object", json::Value::as_object).unwrap();
+    assert_eq!(env.str("ROCC_\"ODD\\"), Ok("two\nlines\t\u{1}"));
+    assert_eq!(env.str("ROCC_SCHEDULER"), Ok("wheel"));
 }
 
 #[test]
@@ -72,8 +96,8 @@ fn two_seeds_of_the_same_config_pass_the_fidelity_gate() {
     assert_eq!(a.config_debug, b.config_debug);
     // and their fidelity metrics agree within the gate's thresholds.
     let report = compare(
-        &summarize_metrics(&a.metrics_jsonl),
-        &summarize_metrics(&b.metrics_jsonl),
+        &summarize_metrics(&a.metrics_jsonl).unwrap(),
+        &summarize_metrics(&b.metrics_jsonl).unwrap(),
     );
     assert!(report.pass(), "fidelity gate failed:\n{}", report.render());
 }

@@ -34,6 +34,7 @@
 
 use crate::engine::Sim;
 use rocc_stats::digest::{fnv1a_64, Fnv64};
+use rocc_stats::json::{self, escape};
 
 /// Schema tag written on every digest-ledger JSONL line.
 pub const DIGEST_LEDGER_SCHEMA: &str = "rocc-digest-ledger/v1";
@@ -306,19 +307,15 @@ pub struct ParsedLedger {
 }
 
 /// Parse `rocc-digest-ledger/v1` JSONL tolerantly: rows are returned up
-/// to the first malformed line, and a torn tail (crashed writer) is
-/// reported, not fatal. Blank lines are skipped.
+/// to the first line that fails the strict parse, and a torn tail
+/// (crashed writer) is reported, not fatal. Blank lines are skipped.
 pub fn parse_ledger_jsonl(text: &str) -> ParsedLedger {
     let mut entries = Vec::new();
     let mut torn_tail = false;
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        match parse_ledger_line(line) {
-            Some(e) => entries.push(e),
-            None => {
+    for row in json::parse_jsonl(text, ledger_entry) {
+        match row {
+            Ok(e) => entries.push(e),
+            Err(_) => {
                 torn_tail = true;
                 break;
             }
@@ -327,47 +324,22 @@ pub fn parse_ledger_jsonl(text: &str) -> ParsedLedger {
     ParsedLedger { entries, torn_tail }
 }
 
-fn parse_ledger_line(line: &str) -> Option<DigestLedgerEntry> {
-    if !line.starts_with('{') || !line.ends_with('}') {
-        return None;
-    }
-    if !line.contains(&format!("\"schema\":\"{DIGEST_LEDGER_SCHEMA}\"")) {
-        return None;
-    }
-    let events = scan_u64(line, "\"event\":")?;
-    let t_ns = scan_u64(line, "\"t_ns\":")?;
-    let dpos = line.find("\"digests\":{")?;
-    let body = &line[dpos + "\"digests\":{".len()..];
-    let end = body.find('}')?;
-    let body = &body[..end];
-    let mut digests = Vec::new();
-    for pair in body.split(',') {
-        if pair.trim().is_empty() {
-            continue;
-        }
-        let (k, v) = pair.split_once(':')?;
-        let name = k.trim().strip_prefix('"')?.strip_suffix('"')?;
-        let hex = v.trim().strip_prefix('"')?.strip_suffix('"')?;
-        if hex.len() != 16 {
-            return None;
-        }
-        let d = u64::from_str_radix(hex, 16).ok()?;
-        digests.push((name.to_string(), d));
-    }
-    if digests.is_empty() {
-        return None;
-    }
-    Some(DigestLedgerEntry { events, t_ns, digests: ComponentDigests::from_entries(digests) })
-}
-
-fn scan_u64(line: &str, key: &str) -> Option<u64> {
-    let pos = line.find(key)? + key.len();
-    let rest = &line[pos..];
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    if digits.is_empty() {
-        return None;
-    }
-    digits.parse().ok()
+fn ledger_entry(o: &json::Object) -> Result<DigestLedgerEntry, json::JsonError> {
+    let is_ledger = |v: &json::Value| (v.as_str()? == DIGEST_LEDGER_SCHEMA).then_some(());
+    o.read("schema", DIGEST_LEDGER_SCHEMA, is_ledger)?;
+    let digests = o.read("digests", "non-empty object of hex16 digests", |v| {
+        let members = &v.as_object()?.members;
+        let hex16 = |m: &json::Member| {
+            let hex = m.value.as_str().filter(|h| h.len() == 16)?;
+            Some((m.key.clone(), u64::from_str_radix(hex, 16).ok()?))
+        };
+        members.iter().map(hex16).collect::<Option<Vec<_>>>().filter(|d| !d.is_empty())
+    })?;
+    Ok(DigestLedgerEntry {
+        events: o.u64("event")?,
+        t_ns: o.u64("t_ns")?,
+        digests: ComponentDigests::from_entries(digests),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -479,7 +451,7 @@ impl DivergenceReport {
         ));
         s.push_str(&format!("  \"t_ns_a\": {},\n", self.t_ns_a));
         s.push_str(&format!("  \"t_ns_b\": {},\n", self.t_ns_b));
-        s.push_str(&format!("  \"component\": \"{}\",\n", json_escape(&self.component)));
+        s.push_str(&format!("  \"component\": \"{}\",\n", escape(&self.component)));
         s.push_str(&format!("  \"digest_a\": \"{}\",\n", self.digest_a));
         s.push_str(&format!("  \"digest_b\": \"{}\",\n", self.digest_b));
         s.push_str("  \"differing_components\": [");
@@ -487,15 +459,15 @@ impl DivergenceReport {
             if i > 0 {
                 s.push_str(", ");
             }
-            s.push_str(&format!("\"{}\"", json_escape(c)));
+            s.push_str(&format!("\"{}\"", escape(c)));
         }
         s.push_str("],\n");
         match &self.event_a {
-            Some(e) => s.push_str(&format!("  \"event_a\": \"{}\",\n", json_escape(e))),
+            Some(e) => s.push_str(&format!("  \"event_a\": \"{}\",\n", escape(e))),
             None => s.push_str("  \"event_a\": null,\n"),
         }
         match &self.event_b {
-            Some(e) => s.push_str(&format!("  \"event_b\": \"{}\",\n", json_escape(e))),
+            Some(e) => s.push_str(&format!("  \"event_b\": \"{}\",\n", escape(e))),
             None => s.push_str("  \"event_b\": null,\n"),
         }
         s.push_str(&format!("  \"words_a\": {},\n", self.words_a));
@@ -532,23 +504,6 @@ impl DivergenceReport {
             self.probes,
         )
     }
-}
-
-/// Escape a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Advance `sim` event-by-event until `target` events have been
@@ -806,12 +761,6 @@ mod tests {
     fn word_decode_pads_tail() {
         let c = ComponentState::new("x", vec![1, 0, 0, 0, 0, 0, 0, 0, 2]);
         assert_eq!(c.words(), vec![1, 2]);
-    }
-
-    #[test]
-    fn json_escape_covers_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

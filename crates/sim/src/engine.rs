@@ -355,6 +355,34 @@ enum NodeSlot {
 /// at every checkpoint stride.
 pub type CheckpointSink = Box<dyn FnMut(u64, &[u8])>;
 
+/// Where [`Sim::advance`] stops dispatching.
+#[derive(Clone, Copy)]
+enum Stop {
+    /// After one event, without consulting the budget guards.
+    Step,
+    /// At the first event scheduled after the instant.
+    Until(SimTime),
+    /// Once every registered finite flow has completed, or at the first
+    /// event scheduled after the instant.
+    FlowsDone(SimTime),
+}
+
+/// Why [`Sim::advance`] returned.
+enum Halt {
+    /// The stop condition was met: the step dispatched its event, or
+    /// every registered finite flow has completed.
+    Done,
+    /// The event queue is empty; the clock stays at the last event.
+    Drained,
+    /// The next event lies past the stop instant: it was requeued and the
+    /// clock set to the instant.
+    Deadline,
+    /// A budget guard tripped before the next event, which was requeued.
+    Budget(SimError),
+    /// A due audit found a violation (bounded runs only).
+    Audit(SimError),
+}
+
 /// Auto-checkpoint policy: every `stride` dispatched events the engine
 /// serializes itself ([`Sim::snapshot`]) and hands the bytes to `sink`.
 /// Stored as an `Option` on [`Sim`] so the disabled cost is one branch per
@@ -404,9 +432,9 @@ pub struct Sim {
     /// Same `Option` gating as checkpointing: disabled cost is one branch
     /// per dispatched event, enabled recording is pure observation.
     digest_ledger: Option<crate::digest::DigestLedger>,
-    /// Kernel clamp count already surfaced to telemetry; the run loops
-    /// compare it against [`Kernel::past_due_clamps`] after each dispatch
-    /// (one predictable branch) and publish the delta.
+    /// Kernel clamp count already surfaced to telemetry; the run loop
+    /// compares it against [`Kernel::past_due_clamps`] after each dispatch
+    /// (one predictable branch) and publishes the delta.
     clamps_published: u64,
 }
 
@@ -644,16 +672,23 @@ impl Sim {
     }
 
     /// Run until the virtual clock reaches `t_end` (events at exactly
-    /// `t_end` are processed) or the event queue drains.
+    /// `t_end` are processed) or the event queue drains. A drained queue
+    /// leaves the clock at the last dispatched event; otherwise it ends at
+    /// `t_end`. A tripped budget guard stops the run and is recorded
+    /// (see [`Sim::budget_failure`]) instead of returned.
     pub fn run_until(&mut self, t_end: SimTime) {
-        let started = std::time::Instant::now();
-        self.run_until_inner(t_end, started);
-        self.kernel.prof.run_break();
-        self.wall += started.elapsed();
+        self.timed(|sim, started| {
+            if let Halt::Budget(e) = sim.advance(Stop::Until(t_end), started) {
+                // Open-ended runs have no verdict to return: publish the
+                // failure and keep it for `budget_failure`.
+                sim.budget_failure = Some(e.clone());
+                sim.publish_verdict(&RunVerdict::Failed(e));
+            }
+        });
     }
 
-    /// Schedule the first sampling tick exactly once (shared by the run
-    /// loops and [`Sim::step`], so manual stepping at t = 0 cannot
+    /// Schedule the first sampling tick exactly once (the run loop calls
+    /// it on every entry, so manual stepping at t = 0 cannot
     /// double-schedule it).
     fn bootstrap_sampling(&mut self) {
         if self.sampling_bootstrapped {
@@ -704,67 +739,100 @@ impl Sim {
 
     /// Process exactly one pending event (manual stepping for warm-up
     /// loops and fine-grained tests). Returns `false` when the queue is
-    /// empty. Wall time accrues to the same profile anchors as
-    /// `run_until*` — entry/exit reads of a fresh `Instant` — so
-    /// interleaving `step` loops with [`Sim::run_until_flows_done`]
-    /// never double-counts (see [`Sim::reset_profile`] to exclude the
-    /// warm-up entirely). Budget guards are not consulted here: a single
-    /// step cannot livelock.
+    /// empty. The event goes through the same run loop and post-dispatch
+    /// hook as `run_until*` — audits, auto-checkpoints and digest-ledger
+    /// rows land exactly where a run would put them — and its wall time
+    /// accrues to the same profile anchors, so interleaving `step` loops
+    /// with [`Sim::run_until_flows_done`] never double-counts (see
+    /// [`Sim::reset_profile`] to exclude the warm-up entirely). Budget
+    /// guards are not consulted here: a single step cannot livelock, and
+    /// an audit violation is recorded, not returned.
     pub fn step(&mut self) -> bool {
-        let started = std::time::Instant::now();
-        self.bootstrap_sampling();
-        let stepped = if let Some(s) = self.pop_next() {
-            self.kernel.now = s.at;
-            self.events_processed += 1;
-            self.dispatch(s);
-            if self.kernel.past_due_clamps != self.clamps_published {
-                self.publish_clamps();
-            }
-            let _ = self.audit_if_due();
-            true
-        } else {
-            false
-        };
-        self.kernel.prof.run_break();
-        self.wall += started.elapsed();
-        stepped
+        let halt = self.timed(|sim, started| sim.advance(Stop::Step, started));
+        matches!(halt, Halt::Done)
     }
 
-    fn run_until_inner(&mut self, t_end: SimTime, started: std::time::Instant) {
+    /// Run `f` between the two host-clock reads every entry point shares:
+    /// its wall time accrues to [`Sim::profile`] and the phase profiler
+    /// closes its open phase on the way out.
+    fn timed<R>(&mut self, f: impl FnOnce(&mut Self, std::time::Instant) -> R) -> R {
+        let started = std::time::Instant::now();
+        let r = f(self, started);
+        self.kernel.prof.run_break();
+        self.wall += started.elapsed();
+        r
+    }
+
+    /// The one run loop behind [`Sim::step`], [`Sim::run_until`] and
+    /// [`Sim::run_until_flows_done`]: pop the next event, check it
+    /// against the stop instant and the budget guards (bounded stops
+    /// only), dispatch it, then run [`Sim::after_dispatch`]. `started`
+    /// anchors the wall-clock budget.
+    fn advance(&mut self, stop: Stop, started: std::time::Instant) -> Halt {
         self.bootstrap_sampling();
-        while let Some(s) = self.pop_next() {
-            if s.at > t_end {
-                // Not yet due: put it back and stop.
-                self.kernel.requeue(s);
-                self.kernel.now = t_end;
-                break;
+        let finite = self.finite_flows;
+        loop {
+            if matches!(stop, Stop::FlowsDone(_)) && self.trace.fcts.len() as u64 >= finite {
+                return Halt::Done;
             }
-            if let Some(e) = self.budget_breach(s.at, started) {
-                // Open-ended runs have no verdict to return; record the
-                // failure (retrievable via [`Sim::budget_failure`]), publish
-                // it, and stop instead of spinning forever.
-                self.kernel.requeue(s);
-                let v = RunVerdict::Failed(e);
-                self.publish_verdict(&v);
-                self.budget_failure = v.err().cloned();
-                break;
+            let Some(s) = self.pop_next() else {
+                return Halt::Drained;
+            };
+            match stop {
+                // A single step cannot livelock, so no guard applies; the
+                // livelock odometer still moves, keeping a stepped sim's
+                // state identical to a driven one.
+                Stop::Step => {
+                    self.count_stall(s.at);
+                }
+                Stop::Until(t) | Stop::FlowsDone(t) => {
+                    if s.at > t {
+                        // Not yet due: put it back and stop at the horizon.
+                        self.kernel.requeue(s);
+                        self.kernel.now = t;
+                        return Halt::Deadline;
+                    }
+                    if let Some(e) = self.budget_breach(s.at, started) {
+                        self.kernel.requeue(s);
+                        return Halt::Budget(e);
+                    }
+                }
             }
             self.kernel.now = s.at;
             self.events_processed += 1;
             self.dispatch(s);
-            if self.kernel.past_due_clamps != self.clamps_published {
-                self.publish_clamps();
-            }
-            // Open-ended runs have no completion criterion to abort toward;
-            // audits still record violations and pause metrics.
-            let _ = self.audit_if_due();
-            if self.checkpoint.is_some() {
-                self.auto_checkpoint();
-            }
-            if self.digest_ledger.is_some() {
-                self.record_state_digest();
+            let violation = self.after_dispatch();
+            match stop {
+                Stop::Step => return Halt::Done,
+                Stop::FlowsDone(_) => {
+                    if let Some(e) = violation {
+                        return Halt::Audit(e);
+                    }
+                }
+                // Open-ended runs have no completion criterion to abort
+                // toward; the audit still recorded the violation.
+                Stop::Until(_) => {}
             }
         }
+    }
+
+    /// The post-dispatch hook, the single place per-event bookkeeping
+    /// attaches: clamp publication, the due sanitizer audit (its
+    /// violation, if any, is returned), auto-checkpoint and the digest
+    /// ledger. Each disabled piece costs one branch.
+    #[inline]
+    fn after_dispatch(&mut self) -> Option<SimError> {
+        if self.kernel.past_due_clamps != self.clamps_published {
+            self.publish_clamps();
+        }
+        let violation = self.audit_if_due();
+        if self.checkpoint.is_some() {
+            self.auto_checkpoint();
+        }
+        if self.digest_ledger.is_some() {
+            self.record_state_digest();
+        }
+        violation
     }
 
     /// The budget failure recorded by an open-ended [`Sim::run_until`] call,
@@ -804,21 +872,29 @@ impl Sim {
                 }
             }
         }
-        if at > self.kernel.now {
-            self.stall_run = 0;
-        } else {
-            self.stall_run += 1;
-            if let Some(limit) = b.stall_events {
-                if self.stall_run >= limit {
-                    return Some(SimError::Stalled {
-                        at: self.kernel.now,
-                        events_at_instant: self.stall_run,
-                        incomplete_flows: self.incomplete_finite(),
-                    });
-                }
+        if let (Some(run), Some(limit)) = (self.count_stall(at), b.stall_events) {
+            if run >= limit {
+                return Some(SimError::Stalled {
+                    at: self.kernel.now,
+                    events_at_instant: run,
+                    incomplete_flows: self.incomplete_finite(),
+                });
             }
         }
         None
+    }
+
+    /// Move the livelock odometer for an event at `at`: reset when the
+    /// clock advances, else count one more event at this instant and
+    /// return the count.
+    fn count_stall(&mut self, at: SimTime) -> Option<u64> {
+        if at > self.kernel.now {
+            self.stall_run = 0;
+            None
+        } else {
+            self.stall_run += 1;
+            Some(self.stall_run)
+        }
     }
 
     /// Finite flows still outstanding (budget-verdict bookkeeping).
@@ -832,58 +908,26 @@ impl Sim {
     /// named, invariant violations, a drained event heap, or a plain
     /// deadline miss) instead of a bare `false`.
     pub fn run_until_flows_done(&mut self, max_t: SimTime) -> RunVerdict {
-        let started = std::time::Instant::now();
-        let verdict = self.run_until_flows_done_inner(max_t, started);
-        self.kernel.prof.run_break();
-        self.wall += started.elapsed();
+        let verdict = self.timed(|sim, started| {
+            let finite = sim.finite_flows;
+            match sim.advance(Stop::FlowsDone(max_t), started) {
+                Halt::Done => {
+                    // One final audit at end-of-run so a violation in the
+                    // closing events cannot slip out unchecked.
+                    if sim.sanitizer.is_enabled() {
+                        if let Some(e) = sim.run_audit() {
+                            return RunVerdict::Failed(e);
+                        }
+                    }
+                    RunVerdict::Completed { flows: finite }
+                }
+                Halt::Drained => RunVerdict::Failed(sim.stall_error(finite, true)),
+                Halt::Deadline => RunVerdict::Failed(sim.stall_error(finite, false)),
+                Halt::Budget(e) | Halt::Audit(e) => RunVerdict::Failed(e),
+            }
+        });
         self.publish_verdict(&verdict);
         verdict
-    }
-
-    fn run_until_flows_done_inner(
-        &mut self,
-        max_t: SimTime,
-        started: std::time::Instant,
-    ) -> RunVerdict {
-        let finite = self.finite_flows;
-        self.bootstrap_sampling();
-        while (self.trace.fcts.len() as u64) < finite {
-            let Some(s) = self.pop_next() else {
-                return RunVerdict::Failed(self.stall_error(finite, true));
-            };
-            if s.at > max_t {
-                self.kernel.requeue(s);
-                self.kernel.now = max_t;
-                return RunVerdict::Failed(self.stall_error(finite, false));
-            }
-            if let Some(e) = self.budget_breach(s.at, started) {
-                self.kernel.requeue(s);
-                return RunVerdict::Failed(e);
-            }
-            self.kernel.now = s.at;
-            self.events_processed += 1;
-            self.dispatch(s);
-            if self.kernel.past_due_clamps != self.clamps_published {
-                self.publish_clamps();
-            }
-            if let Some(e) = self.audit_if_due() {
-                return RunVerdict::Failed(e);
-            }
-            if self.checkpoint.is_some() {
-                self.auto_checkpoint();
-            }
-            if self.digest_ledger.is_some() {
-                self.record_state_digest();
-            }
-        }
-        // One final audit at end-of-run so a violation in the closing
-        // events cannot slip out unchecked.
-        if self.sanitizer.is_enabled() {
-            if let Some(e) = self.run_audit() {
-                return RunVerdict::Failed(e);
-            }
-        }
-        RunVerdict::Completed { flows: finite }
     }
 
     /// Diagnose a stalled run (`drained` = the event heap emptied; otherwise
@@ -930,57 +974,14 @@ impl Sim {
     /// Run one audit now (unconditionally; callers gate on enablement).
     fn run_audit(&mut self) -> Option<SimError> {
         self.kernel.prof.enter(Phase::Sanitizer);
-        let Sim {
-            kernel,
-            topo,
-            nodes,
-            trace,
-            sanitizer,
-            ..
-        } = self;
-        let mut hosts = Vec::new();
-        let mut switches = Vec::new();
-        for n in nodes.iter() {
-            match n {
-                NodeSlot::Host(h) => hosts.push(h),
-                NodeSlot::Switch(s) => switches.push(s),
-            }
-        }
-        let view = AuditView {
-            now: kernel.now,
-            config: &kernel.config,
-            topo,
-            faults: &kernel.faults,
-            hosts,
-            switches,
-            ledger: &kernel.san,
-            packets: &kernel.packets,
-        };
-        sanitizer.audit(&view, trace)
+        let view = audit_view(&self.kernel, &self.topo, &self.nodes);
+        self.sanitizer.audit(&view, &mut self.trace)
     }
 
     /// One-shot pause wait-for graph scan of the current state; pure read,
     /// works with the sanitizer disabled.
     fn scan_now(&self) -> PauseReport {
-        let mut hosts = Vec::new();
-        let mut switches = Vec::new();
-        for n in &self.nodes {
-            match n {
-                NodeSlot::Host(h) => hosts.push(h),
-                NodeSlot::Switch(s) => switches.push(s),
-            }
-        }
-        let view = AuditView {
-            now: self.kernel.now,
-            config: &self.kernel.config,
-            topo: &self.topo,
-            faults: &self.kernel.faults,
-            hosts,
-            switches,
-            ledger: &self.kernel.san,
-            packets: &self.kernel.packets,
-        };
-        scan_pause_graph(&view)
+        scan_pause_graph(&audit_view(&self.kernel, &self.topo, &self.nodes))
     }
 
     /// Publish the run verdict to telemetry and, on failure, dump its JSON
@@ -1679,6 +1680,8 @@ impl Sim {
                 let (q, _) = sw.snapshot(p);
                 self.trace.record_queue_sample(i, now, q);
                 self.trace.telemetry.record_queue_depth(q);
+                // Gated inside the observatory: one branch when disabled.
+                self.trace.observatory.note_queue_sample(now, n, p, q);
             }
         }
         // Long-run queue averages.
@@ -1711,18 +1714,12 @@ impl Sim {
                 }
             }
         }
-        // Observatory time-series rows: one gated block of pure reads, so
-        // the disabled path costs a single branch and the enabled path
-        // cannot perturb the schedule.
+        // Observatory flow rows (queue rows were noted above, from the
+        // same read): one gated block of pure reads, so the disabled path
+        // costs a single branch and the enabled path cannot perturb the
+        // schedule.
         if self.trace.observatory.is_enabled() {
             self.kernel.prof.enter(Phase::Observatory);
-            for i in 0..self.trace.watched_queues().len() {
-                let (n, p) = self.trace.watched_queues()[i];
-                if let NodeSlot::Switch(sw) = &self.nodes[n.0] {
-                    let (q, _) = sw.snapshot(p);
-                    self.trace.observatory.note_queue_sample(now, n, p, q);
-                }
-            }
             let flows: Vec<FlowId> = self.trace.watched_flows().to_vec();
             for (i, f) in flows.into_iter().enumerate() {
                 let goodput = self.trace.flow_rate_series[i]
@@ -1743,6 +1740,28 @@ impl Sim {
             self.kernel.prof.enter(Phase::Telemetry);
         }
         self.kernel.schedule(now + period, Event::Sample);
+    }
+}
+
+/// The sanitizer's read-only view of the engine state.
+fn audit_view<'a>(kernel: &'a Kernel, topo: &'a Topology, nodes: &'a [NodeSlot]) -> AuditView<'a> {
+    let mut hosts = Vec::new();
+    let mut switches = Vec::new();
+    for n in nodes {
+        match n {
+            NodeSlot::Host(h) => hosts.push(h),
+            NodeSlot::Switch(s) => switches.push(s),
+        }
+    }
+    AuditView {
+        now: kernel.now,
+        config: &kernel.config,
+        topo,
+        faults: &kernel.faults,
+        hosts,
+        switches,
+        ledger: &kernel.san,
+        packets: &kernel.packets,
     }
 }
 

@@ -85,6 +85,11 @@ pub mod topology;
 pub mod trace;
 pub mod units;
 
+/// The workspace's JSON escaper, number formatter and strict parser
+/// (defined in `rocc-stats`; re-exported for crates that depend on
+/// `rocc-sim` alone).
+pub use rocc_stats::json;
+
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::artifacts::{ensure_dir, write_artifact, ArtifactError};

@@ -19,6 +19,7 @@ use crate::packet::{CpId, FlowId};
 use crate::telemetry::{EventMask, SimEvent};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, PortId};
+use rocc_stats::json::fmt_f64;
 use std::collections::BTreeMap;
 
 /// Latest CP controller state, updated on every `CpDecision` event and
@@ -108,8 +109,8 @@ impl MetricRow {
                 cp.port.0,
                 fair_rate_units,
                 region,
-                fin(alpha),
-                fin(beta)
+                fmt_f64(alpha),
+                fmt_f64(beta)
             ),
             MetricRow::Flow {
                 t,
@@ -129,14 +130,6 @@ impl MetricRow {
                 cum_pause_ns
             ),
         }
-    }
-}
-
-fn fin(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "0".to_string()
     }
 }
 

@@ -27,6 +27,7 @@ use crate::packet::FlowId;
 use crate::telemetry::SimEvent;
 use crate::fastmap::FxHashMap;
 use crate::time::SimTime;
+use rocc_stats::json::escape;
 
 /// Process id of the flow tracks.
 const FLOW_PID: u64 = 1;
@@ -41,13 +42,15 @@ fn us(t: SimTime) -> f64 {
 
 fn meta_process(out: &mut Vec<String>, pid: u64, name: &str) {
     out.push(format!(
-        "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":\"{name}\"}}}}"
+        "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":\"{}\"}}}}",
+        escape(name)
     ));
 }
 
 fn meta_thread(out: &mut Vec<String>, pid: u64, tid: u64, name: &str) {
     out.push(format!(
-        "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"{name}\"}}}}"
+        "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"{}\"}}}}",
+        escape(name)
     ));
 }
 
@@ -74,9 +77,10 @@ pub fn export_chrome_trace(sim: &Sim) -> String {
             format!("flow {} ({} B, unfinished)", spec.id.0, spec.size)
         };
         ev.push(format!(
-            "{{\"ph\":\"X\",\"pid\":{FLOW_PID},\"tid\":{tid},\"ts\":{},\"dur\":{},\"name\":\"{name}\",\"cat\":\"flow\"}}",
+            "{{\"ph\":\"X\",\"pid\":{FLOW_PID},\"tid\":{tid},\"ts\":{},\"dur\":{},\"name\":\"{}\",\"cat\":\"flow\"}}",
             us(spec.start),
-            dur
+            dur,
+            escape(&name)
         ));
     }
 
@@ -252,7 +256,8 @@ mod tests {
     #[test]
     fn trace_covers_flows_pfc_and_queues() {
         let mut b = TopologyBuilder::new();
-        let sw = b.add_switch("sw", NodeRole::Switch);
+        // A name that needs escaping: the trace must still parse strictly.
+        let sw = b.add_switch("sw\"1\n", NodeRole::Switch);
         let d = b.add_host("d");
         b.connect(d, sw, BitRate::from_gbps(10), SimDuration::from_micros(1));
         let mut srcs = Vec::new();
@@ -285,6 +290,7 @@ mod tests {
         let json = export_chrome_trace(&sim);
         assert!(json.starts_with("{\"displayTimeUnit\":\"ns\",\"traceEvents\":["));
         assert!(json.ends_with("]}"));
+        rocc_stats::json::parse(&json).expect("trace parses strictly");
         // Flow lifetime slices, process metadata, PFC slices, queue counters.
         assert!(json.contains("\"name\":\"process_name\""));
         assert!(json.contains("\"name\":\"flows\""));

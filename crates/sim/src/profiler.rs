@@ -33,6 +33,7 @@
 
 use crate::sched::{SchedStats, WHEEL_LEVELS};
 use crate::telemetry::Histogram;
+use rocc_stats::json::fmt_f64;
 use std::time::Instant;
 
 /// An engine subsystem that wall time is attributed to.
@@ -488,7 +489,7 @@ impl PhaseProfiler {
                 let wall_ns = (*share * ctx.wall_ns as f64) as u64;
                 format!(
                     "{{\"phase\":\"{name}\",\"share\":{},\"wall_ns\":{wall_ns},\"count\":{count}}}",
-                    json_f64(*share)
+                    fmt_f64(*share)
                 )
             })
             .collect();
@@ -534,9 +535,9 @@ impl PhaseProfiler {
              \"slab\":{{\"live\":{},\"peak_live\":{}}},\
              \"fastmap\":{{\"flow_dir_entries\":{}}}}}",
             ctx.events,
-            json_f64(ctx.wall_ns as f64 / 1e9),
-            json_f64(ctx.sim_ns as f64 / 1e9),
-            json_f64(eps),
+            fmt_f64(ctx.wall_ns as f64 / 1e9),
+            fmt_f64(ctx.sim_ns as f64 / 1e9),
+            fmt_f64(eps),
             self.stride,
             self.timed_events,
             phases.join(","),
@@ -592,15 +593,6 @@ pub struct ProfileContext {
     /// Per-level wheel occupancy at export time (all zeros under the
     /// heap backend).
     pub level_depths: [u64; WHEEL_LEVELS],
-}
-
-/// Format an `f64` as JSON (no NaN/inf — those become 0).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "0".to_string()
-    }
 }
 
 #[cfg(test)]

@@ -236,3 +236,22 @@ fn distinct_cut_points_have_distinct_digests() {
         assert!(sim.step(), "run drained before 64 events");
     }
 }
+
+/// `step()` and `run_until` drive the same run loop, so a ledger recorded
+/// by stepping to N events equals one recorded by `run_until` up to the
+/// same point, row for row.
+#[test]
+fn stepped_ledger_equals_run_until_ledger() {
+    let mut run = build_chaos(7);
+    run.enable_digest_ledger(1024);
+    run.run_until(SimTime::from_micros(600));
+    let n = run.events_processed();
+    let mut stepped = build_chaos(7);
+    stepped.enable_digest_ledger(1024);
+    while stepped.events_processed() < n && stepped.step() {}
+    assert_eq!(stepped.events_processed(), n);
+    let (a, b) = (run.digest_ledger().unwrap(), stepped.digest_ledger().unwrap());
+    assert!(a.entries().len() >= 4, "too few rows: {}", a.entries().len());
+    assert_eq!(a.entries(), b.entries());
+    assert_eq!(a.to_jsonl(), b.to_jsonl());
+}

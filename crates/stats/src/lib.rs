@@ -5,11 +5,13 @@
 //! over 5 repetitions), Jain's fairness index, and the fidelity metrics
 //! used by the run observatory (`repro compare`): convergence-time
 //! detection on sampled series, quantiles over pre-bucketed histograms,
-//! and a normalized histogram distance.
+//! and a normalized histogram distance. [`json`] is the workspace's one
+//! JSON escaper, number formatter and strict parser.
 
 #![warn(missing_docs)]
 
 pub mod digest;
+pub mod json;
 
 use std::fmt;
 
