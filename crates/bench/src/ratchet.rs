@@ -44,6 +44,11 @@ pub struct Metric {
     pub direction: Direction,
     /// Allowed regression before the gate trips.
     pub tolerance: Tolerance,
+    /// Dotted path of the exact work count (events) the metric was
+    /// measured over, when it is a rate or a wall time. Two runs over
+    /// different amounts of work are not comparable, so [`check`] fails
+    /// when the counts differ and [`advance`] re-seeds the metric.
+    pub work: Option<&'static str>,
 }
 
 /// The ratcheted metric set for `BENCH_sim.json` v2.
@@ -61,21 +66,25 @@ pub const METRICS: &[Metric] = &[
         path: "engine.events_per_sec",
         direction: Direction::Higher,
         tolerance: Tolerance::Relative(0.20),
+        work: Some("engine.engine_events"),
     },
     Metric {
         path: "sweep.serial_wall_seconds",
         direction: Direction::Lower,
         tolerance: Tolerance::Relative(0.25),
+        work: Some("sweep.events_total"),
     },
     Metric {
         path: "sweep.parallel_wall_seconds",
         direction: Direction::Lower,
         tolerance: Tolerance::Relative(0.25),
+        work: Some("sweep.events_total"),
     },
     Metric {
         path: "profiler.profiler_overhead_pct",
         direction: Direction::Lower,
         tolerance: Tolerance::AbsoluteMax(5.0),
+        work: None,
     },
 ];
 
@@ -128,8 +137,11 @@ impl Verdict {
 /// verdict per metric in [`METRICS`]. A metric missing from the *fresh*
 /// document is a hard failure (the benchmark should always emit the full
 /// schema); missing from the *baseline* it passes as [`Verdict::NoBaseline`]
-/// so a schema upgrade can land before its first ratchet advance. Either
-/// document failing to parse is an error.
+/// so a schema upgrade can land before its first ratchet advance. A
+/// metric whose work count ([`Metric::work`]) is missing from the fresh
+/// document, or differs from the baseline's, fails: its value measures a
+/// different amount of work. Either document failing to parse is an
+/// error.
 pub fn check(fresh: &str, base: &str) -> Result<Vec<Verdict>, JsonError> {
     let (fresh, base) = (json::parse(fresh)?, json::parse(base)?);
     let verdicts = METRICS
@@ -153,6 +165,25 @@ pub fn check(fresh: &str, base: &str) -> Result<Vec<Verdict>, JsonError> {
                             m.path
                         ));
                     };
+                    if let Some(w) = m.work {
+                        match (metric(&fresh, w), metric(&base, w)) {
+                            (None, _) => {
+                                return Verdict::Fail(format!(
+                                    "{}: fresh benchmark lacks its work count {w}",
+                                    m.path
+                                ))
+                            }
+                            (Some(fw), Some(bw)) if fw != bw => {
+                                return Verdict::Fail(format!(
+                                    "WORK CHANGED {}: {w} is {fw:.0} fresh vs {bw:.0} in the baseline, \
+                                     so fresh {f:.3} and ratchet {b:.3} are not comparable; \
+                                     re-record the baseline",
+                                    m.path
+                                ))
+                            }
+                            _ => {}
+                        }
+                    }
                     let (bad, bound) = match m.direction {
                         Direction::Higher => (f < (1.0 - tol) * b, (1.0 - tol) * b),
                         Direction::Lower => (f > (1.0 + tol) * b, (1.0 + tol) * b),
@@ -179,8 +210,10 @@ pub fn check(fresh: &str, base: &str) -> Result<Vec<Verdict>, JsonError> {
 /// baseline is still better, keep the baseline's value. Returns the new
 /// ratchet document and a log line per retained/advanced metric.
 /// Absolute-ceiling metrics always carry the fresh value: their gate does
-/// not move. Kept values are spliced over the fresh number's source text,
-/// so every other byte of the fresh document carries over unchanged.
+/// not move. So does a metric whose work count changed: the old value
+/// measured other work. Kept values are spliced over the fresh number's
+/// source text, so every other byte of the fresh document carries over
+/// unchanged.
 pub fn advance(fresh: &str, base: &str) -> Result<(String, Vec<String>), JsonError> {
     let (fresh_doc, base_doc) = (json::parse(fresh)?, json::parse(base)?);
     let mut kept = Vec::new();
@@ -196,6 +229,12 @@ pub fn advance(fresh: &str, base: &str) -> Result<(String, Vec<String>), JsonErr
             log.push(format!("{}: seeded at {f:.3}", m.path));
             continue;
         };
+        if let Some(w) = m.work {
+            if metric(&fresh_doc, w) != metric(&base_doc, w) {
+                log.push(format!("{}: re-seeded at {f:.3} ({w} changed)", m.path));
+                continue;
+            }
+        }
         let base_better = match m.direction {
             Direction::Higher => b > f,
             Direction::Lower => b < f,
@@ -225,10 +264,25 @@ mod tests {
     }
 
     fn v2_doc(eps: f64, serial: f64, parallel: f64, overhead: f64) -> String {
+        v2_doc_over(443_812, 815_641, eps, serial, parallel, overhead)
+    }
+
+    /// A v2 document whose engine and sweep ran `engine_events` and
+    /// `sweep_events` events.
+    fn v2_doc_over(
+        engine_events: u64,
+        sweep_events: u64,
+        eps: f64,
+        serial: f64,
+        parallel: f64,
+        overhead: f64,
+    ) -> String {
         format!(
-            "{{\"schema\":\"rocc-bench/v2\",\"engine\":{{\"events_per_sec\":{eps}}},\
+            "{{\"schema\":\"rocc-bench/v2\",\
+             \"engine\":{{\"engine_events\":{engine_events},\"events_per_sec\":{eps}}},\
              \"profiler\":{{\"profiler_overhead_pct\":{overhead}}},\
-             \"sweep\":{{\"serial_wall_seconds\":{serial},\"parallel_wall_seconds\":{parallel}}}}}"
+             \"sweep\":{{\"serial_wall_seconds\":{serial},\"parallel_wall_seconds\":{parallel},\
+             \"events_total\":{sweep_events}}}}}"
         )
     }
 
@@ -261,6 +315,42 @@ mod tests {
         let base = v2_doc(5.0e6, 0.14, 0.10, 1.2);
         let noisy = v2_doc(4.2e6, 0.17, 0.12, 2.9);
         assert!(check(&noisy, &base).unwrap().iter().all(|v| !v.failed()));
+    }
+
+    #[test]
+    fn check_fails_when_the_work_count_changes() {
+        // The same figures over less work are not comparable: each gated
+        // rate or wall fails, naming both counts, and advance re-seeds it.
+        let base = v2_doc_over(502_590, 830_450, 8.8e6, 0.108, 0.108, 3.4);
+        let fresh = v2_doc_over(443_812, 830_450, 8.8e6, 0.108, 0.108, 3.4);
+        let failed: Vec<_> = check(&fresh, &base)
+            .unwrap()
+            .into_iter()
+            .filter(|v| v.failed())
+            .collect();
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        let line = failed[0].line();
+        assert!(line.contains("engine.events_per_sec"), "{line}");
+        assert!(line.contains("443812") && line.contains("502590"), "{line}");
+        let fresh = v2_doc_over(502_590, 815_641, 8.8e6, 0.108, 0.108, 3.4);
+        let failed: Vec<_> = check(&fresh, &base)
+            .unwrap()
+            .into_iter()
+            .filter(|v| v.failed())
+            .collect();
+        assert_eq!(failed.len(), 2, "both sweep walls: {failed:?}");
+        assert!(failed
+            .iter()
+            .all(|v| v.line().contains("815641") && v.line().contains("830450")));
+        // A fresh document without its work count fails outright.
+        let bare = "{\"engine\":{\"events_per_sec\":8.8e6}}";
+        assert!(check(bare, &base).unwrap().iter().any(|v| v.failed()));
+        // Advance takes the fresh (worse) walls instead of keeping the
+        // baseline's better ones measured over other work.
+        let slower = v2_doc_over(502_590, 815_641, 8.8e6, 0.2, 0.2, 3.4);
+        let (next, _) = advance(&slower, &base).unwrap();
+        assert_eq!(num(&next, "sweep.serial_wall_seconds"), Some(0.2));
+        assert!(check(&slower, &next).unwrap().iter().all(|v| !v.failed()));
     }
 
     #[test]

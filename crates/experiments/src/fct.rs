@@ -237,16 +237,17 @@ pub fn run_fat_tree(
     run_fat_tree_verdict(scheme, workload, load, cfg, regime, seed).0
 }
 
-/// Run one fat-tree experiment instance and return both the measurements
-/// and the run's typed verdict.
-pub fn run_fat_tree_verdict(
+/// Set up one fat-tree experiment instance, ready to run: the fabric,
+/// the sim with its traces and watched queues, and the offered flows.
+/// Returns the sim, the fabric and the offered flow count.
+pub fn build_fat_tree(
     scheme: Scheme,
     workload: Workload,
     load: f64,
     cfg: &FatTreeConfig,
     regime: BufferRegime,
     seed: u64,
-) -> (RunOutput, RunVerdict) {
+) -> (Sim, FatTree, usize) {
     let ft: FatTree = scenarios::fat_tree(cfg.hosts_per_edge, cfg.trunks);
     let sim_cfg = fat_tree_sim_config(regime, seed);
     // Fat-tree base RTT: 4 links × 1.5 µs each way + serialization ≈ 13 µs.
@@ -290,6 +291,20 @@ pub fn run_fat_tree_verdict(
             offered: None,
         });
     }
+    (sim, ft, offered_flows)
+}
+
+/// Run one fat-tree experiment instance and return both the measurements
+/// and the run's typed verdict.
+pub fn run_fat_tree_verdict(
+    scheme: Scheme,
+    workload: Workload,
+    load: f64,
+    cfg: &FatTreeConfig,
+    regime: BufferRegime,
+    seed: u64,
+) -> (RunOutput, RunVerdict) {
+    let (mut sim, ft, offered_flows) = build_fat_tree(scheme, workload, load, cfg, regime, seed);
     let verdict = sim.run_until_flows_done(SimTime::ZERO + cfg.window + cfg.max_drain);
     let all_completed = verdict.is_complete();
 

@@ -40,11 +40,14 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Phase {
-    /// Popping the next event off the scheduler heap (includes the heap
-    /// sift-down).
+    /// Popping the next event off the scheduler: for the timing wheel,
+    /// the bitmap scan, any cascades it triggers and the bucket unlink;
+    /// for the heap oracle, the sift-down.
     SchedPop = 0,
-    /// Pushing a new event onto the scheduler heap (includes the
-    /// sift-up); nested inside whichever phase scheduled the event.
+    /// Pushing a new event onto the scheduler: for the timing wheel, the
+    /// level/slot computation and the bucket link (plus any rebase); for
+    /// the heap oracle, the sift-up. Nested inside whichever phase
+    /// scheduled the event.
     SchedPush = 1,
     /// Switch data path: ingress, routing, queueing, PFC, egress.
     SwitchForward = 2,
@@ -251,7 +254,7 @@ impl PhaseProfiler {
 
     /// An event is being popped: close the previous timed window (if
     /// any) and open a new one when the sampling countdown armed it.
-    /// Must be called before the heap pop so the pop itself is
+    /// Must be called before the scheduler pop so the pop itself is
     /// attributed to [`Phase::SchedPop`]. Two predictable branches on
     /// the untimed path — all per-pop counting lives in
     /// [`PhaseProfiler::note_pop`] (`timing`/`armed` stay false while
@@ -361,7 +364,7 @@ impl PhaseProfiler {
         }
     }
 
-    /// A heap push begins (inside [`crate::engine::Kernel::schedule`]).
+    /// A scheduler push begins (inside [`crate::engine::Kernel::schedule`]).
     /// Returns the phase to restore via [`PhaseProfiler::push_end`], or
     /// [`NO_PHASE`] when nothing needs restoring. Push *totals* are not
     /// counted here — the kernel's monotonic push sequence number
@@ -403,7 +406,7 @@ impl PhaseProfiler {
         }
     }
 
-    /// Total heap pops dispatched in the window, derived from the
+    /// Total scheduler pops dispatched in the window, derived from the
     /// dispatch mix (every successfully popped event enters dispatch
     /// exactly once) so the pop hot path never bumps a dedicated
     /// counter. Push totals come from the kernel's push sequence number

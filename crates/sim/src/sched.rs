@@ -11,38 +11,60 @@
 //!   as the *differential-testing oracle* — trivially correct by
 //!   construction — and selectable via `ROCC_SCHEDULER=heap`.
 //! * [`TimingWheel`] is a hierarchical timing wheel (Varghese & Lauck):
-//!   8 levels × 256 slots of FIFO buckets keyed by the bytes of the
-//!   timestamp, covering the full `u64` nanosecond range (so the
-//!   `SimTime::MAX` sentinel needs no special case). Push and pop are
-//!   O(1) amortized; per-level occupancy bitmaps make the next-slot scan
-//!   four word tests. This is the default backend.
+//!   a 4,096-slot level 0 of one nanosecond per slot, and seven 256-slot
+//!   levels above it, keyed by bit fields of the timestamp. Together they
+//!   cover the full `u64` nanosecond range, so the `SimTime::MAX`
+//!   sentinel needs no special case. Push and pop are O(1) amortized;
+//!   occupancy bitmaps find the next occupied slot in a few word tests.
+//!   This is the default backend.
+//!
+//! ## Layout
+//!
+//! Level 0 keys bits 0–11 of the timestamp; level `l` ≥ 1 keys bits
+//! `12 + 8(l−1)` to `19 + 8(l−1)`, so level 7 holds the top four bits.
+//! A level-0 window spans 4,096 ns, longer than a serialization or a
+//! 1.5 µs link hop, so most events are pushed straight into level 0 and
+//! never cascade.
+//!
+//! Each queued [`Scheduled`] is stored exactly once, in a slab of nodes.
+//! Freed nodes go on a LIFO free list threaded through their `next`
+//! links, so the slab holds at most as many nodes as the peak count of
+//! live entries. A bucket is an intrusive singly linked FIFO: a head and
+//! a tail link. A link is a slab index plus one, so 0 means "none" and
+//! the zero-initialised bucket array starts empty. Cascades and rebases
+//! relink nodes; they never copy an entry. The bucket array is 5,888 ×
+//! 8 bytes (46 KB). Level 0's 64-word occupancy bitmap has a one-word
+//! summary (bit `w` set iff word `w` is non-zero), so its lowest
+//! occupied slot is two `trailing_zeros` away.
 //!
 //! ## Why the wheel preserves `(at, seq)` order bit-identically
 //!
-//! Level = index of the highest byte in which `at` differs from the
-//! wheel's clock `now`; slot = that byte of `at`. Three invariants carry
-//! the proof:
+//! Level = 0 when `at` agrees with the wheel's clock `now` on every bit
+//! above the low 12, otherwise the level whose bit field holds the
+//! highest bit in which they differ; slot = that level's bit field of
+//! `at`. Three invariants carry the proof:
 //!
 //! 1. **Same `at` ⇒ same bucket, in seq order.** Two events with equal
 //!    `at` land in the same slot of the same level at every point in
 //!    time, and each bucket keeps its equal-`at` entries sorted by seq,
-//!    so equal-timestamp runs always pop in seq order. A push appends
-//!    when its seq is newer than every seq the wheel has ever been
-//!    pushed, which holds for every fresh kernel push (the kernel issues
-//!    seqs in increasing order). Any other push (a host timer forwarded
-//!    to the seq reserved when it was armed, or a snapshot restore
-//!    replaying the queue in `(at, seq)` order) goes before the first
-//!    equal-`at` entry in its bucket with a later seq. The bucket's back
-//!    entry can't stand in for that search: overflow buckets mix
-//!    instants, so their back need not hold their newest seq. Cascades
-//!    and rebases move buckets front to back, so they keep that order
-//!    without a search.
+//!    so equal-timestamp runs always pop in seq order. A push links at
+//!    the tail when its seq is newer than every seq the wheel has ever
+//!    been pushed, which holds for every fresh kernel push (the kernel
+//!    issues seqs in increasing order). Any other push (a host timer
+//!    forwarded to the seq reserved when it was armed, or a snapshot
+//!    restore replaying the queue in `(at, seq)` order) walks its bucket
+//!    and links before the first equal-`at` entry with a later seq. The
+//!    bucket's tail can't stand in for that walk: overflow buckets mix
+//!    instants, so their tail need not hold their newest seq. Cascades
+//!    and rebases relink buckets front to back at the tails of their new
+//!    buckets, which hold no other entry of the same instant (all of
+//!    them moved together), so they keep that order without a walk.
 //! 2. **Level-0 buckets are single-instant.** An occupied level-0 slot
-//!    shares its upper 56 bits with `now`, so the slot index pins the
+//!    shares its upper 52 bits with `now`, so the slot index pins the
 //!    full timestamp: the lowest occupied slot holds exactly the global
 //!    minimum's bucket.
 //! 3. **Cascades don't reorder.** Expanding the lowest occupied slot of
-//!    the lowest occupied overflow level re-inserts its FIFO bucket
+//!    the lowest occupied overflow level relinks its FIFO bucket
 //!    front-to-back into strictly lower levels; relative order of
 //!    equal-`at` events is preserved (they move together, in order), and
 //!    no other bucket's level assignment changes because the clock only
@@ -54,16 +76,19 @@
 //! lies beyond the run's deadline; the pop advanced the wheel clock to
 //! that event's timestamp, but the kernel clock rewinds to the deadline.
 //! A later `schedule()` may then legitimately target the gap. The wheel
-//! handles any push below its clock by **rebasing**: drain every bucket
-//! and re-insert relative to the new, smaller clock. O(n), but it can
-//! only happen right after a deadline requeue — never in the steady
+//! handles any push below its clock by **rebasing**: unlink every bucket
+//! and relink each node relative to the new, smaller clock. O(n), but it
+//! can only happen right after a deadline requeue — never in the steady
 //! state — and correctness is what's non-negotiable here. The
 //! always-counted [`SchedStats::rebases`] makes the cost observable.
+//! [`Scheduler::requeue`] links the event at the head of its bucket, so
+//! it pops first again even when its bucket holds equal-`at`, later-seq
+//! entries.
 
 use crate::engine::Event;
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// One queued event: absolute due time, insertion sequence number (the
 /// deterministic tiebreak), and the event payload.
@@ -95,16 +120,21 @@ impl Ord for Scheduled {
     }
 }
 
-/// Overflow levels in the timing wheel. 8 levels × 8 bits per level
-/// cover the entire `u64` nanosecond axis, so any representable
-/// timestamp — including the `SimTime::MAX` "never" sentinel — has a
-/// bucket.
+/// Levels in the timing wheel: a 12-bit level 0 and seven 8-bit levels
+/// reach bit 68, so any representable timestamp — including the
+/// `SimTime::MAX` "never" sentinel — has a bucket.
 pub const WHEEL_LEVELS: usize = 8;
-/// Slot-index bits per level (256 slots).
+/// Slot-index bits of level 0 (4,096 one-nanosecond slots).
+const L0_BITS: u32 = 12;
+/// Level-0 slots.
+const L0_SLOTS: usize = 1 << L0_BITS;
+/// Slot-index bits of each overflow level (256 slots).
 const SLOT_BITS: u32 = 8;
-/// Slots per level.
+/// Slots per overflow level.
 const SLOTS: usize = 1 << SLOT_BITS;
-/// `u64` words in a per-level occupancy bitmap.
+/// Buckets on all levels: level 0's, then each overflow level's.
+const BUCKETS: usize = L0_SLOTS + (WHEEL_LEVELS - 1) * SLOTS;
+/// `u64` words in one overflow level's occupancy bitmap.
 const OCC_WORDS: usize = SLOTS / 64;
 
 /// Always-on scheduler introspection counters (plain integer bumps on
@@ -212,8 +242,29 @@ impl Scheduler for HeapScheduler {
 
 // ------------------------------------------------------------ timing wheel
 
-/// Hierarchical timing wheel: 8 levels × 256 FIFO buckets with per-level
-/// occupancy bitmaps. See the module docs for layout and ordering proof.
+/// A node link: slab index + 1, so 0 ([`NIL`]) means "none".
+type Link = u32;
+/// The empty link.
+const NIL: Link = 0;
+
+/// One slab node: a queued entry (`None` while on the free list) and the
+/// link to the next node of its bucket or of the free list.
+#[derive(Debug)]
+struct Node {
+    next: Link,
+    s: Option<Scheduled>,
+}
+
+/// An intrusive FIFO of slab nodes.
+#[derive(Debug, Clone, Copy, Default)]
+struct Bucket {
+    head: Link,
+    tail: Link,
+}
+
+/// Hierarchical timing wheel: a 4,096-slot level 0 and seven 256-slot
+/// levels of intrusive FIFO buckets over one node slab. See the module
+/// docs for layout and ordering proof.
 #[derive(Debug)]
 pub struct TimingWheel {
     /// The wheel clock: the timestamp of the most recent pop (0 before
@@ -221,20 +272,23 @@ pub struct TimingWheel {
     now_ns: u64,
     /// Live entry count.
     len: usize,
-    /// `WHEEL_LEVELS * SLOTS` FIFO buckets, indexed `level * SLOTS + slot`.
-    /// Buckets keep their allocation once grown, so steady-state churn
-    /// allocates nothing.
-    buckets: Vec<VecDeque<Scheduled>>,
-    /// Per-level slot-occupancy bitmaps.
-    occ: [[u64; OCC_WORDS]; WHEEL_LEVELS],
+    /// Every queued entry, stored once. Grows only when the free list is
+    /// empty, so its length is the peak live entry count.
+    nodes: Vec<Node>,
+    /// Head of the LIFO free list, threaded through `Node::next`.
+    free: Link,
+    /// `BUCKETS` FIFO buckets: level 0's 4,096 slots, then 256 per
+    /// overflow level.
+    buckets: Vec<Bucket>,
+    /// Slot-occupancy bitmap over all buckets, in bucket order.
+    occ: [u64; BUCKETS / 64],
+    /// Bit `w` set iff level-0 bitmap word `w` is non-zero.
+    l0_summary: u64,
     /// Per-level live entry counts (drives the cascade scan and the
     /// profiler's occupancy series).
     level_len: [u64; WHEEL_LEVELS],
-    /// Scratch buffer reused by cascades so expanding a bucket never
-    /// allocates in steady state.
-    scratch: Vec<Scheduled>,
     /// Newest seq ever pushed. Every queued entry's seq is at most this,
-    /// so a push with a newer seq may append to its bucket.
+    /// so a push with a newer seq may link at its bucket's tail.
     max_seq: u64,
     stats: SchedStats,
 }
@@ -244,40 +298,85 @@ impl Default for TimingWheel {
         TimingWheel {
             now_ns: 0,
             len: 0,
-            buckets: (0..WHEEL_LEVELS * SLOTS).map(|_| VecDeque::new()).collect(),
-            occ: [[0; OCC_WORDS]; WHEEL_LEVELS],
+            nodes: Vec::new(),
+            free: NIL,
+            buckets: vec![Bucket::default(); BUCKETS],
+            occ: [0; BUCKETS / 64],
+            l0_summary: 0,
             level_len: [0; WHEEL_LEVELS],
-            scratch: Vec::new(),
             max_seq: 0,
             stats: SchedStats::default(),
         }
     }
 }
 
-/// Index of the highest byte in which `at` differs from `now` (0 when
-/// equal): the wheel level of an entry due at `at`.
+/// Lowest timestamp bit of level `lvl`'s slot field.
+#[inline]
+fn level_shift(lvl: usize) -> u32 {
+    if lvl == 0 {
+        0
+    } else {
+        L0_BITS + SLOT_BITS * (lvl as u32 - 1)
+    }
+}
+
+/// Index of the first bucket of level `lvl`.
+#[inline]
+fn level_base(lvl: usize) -> usize {
+    if lvl == 0 {
+        0
+    } else {
+        L0_SLOTS + (lvl - 1) * SLOTS
+    }
+}
+
+/// The wheel level of an entry due at `at`: 0 when `at` and `now` agree
+/// above the low 12 bits, else the level whose field holds the highest
+/// differing bit.
 #[inline]
 fn level_of(at: u64, now: u64) -> usize {
     let diff = at ^ now;
-    if diff == 0 {
+    if diff < L0_SLOTS as u64 {
         0
     } else {
-        (63 - diff.leading_zeros() as usize) >> 3
+        1 + ((63 - diff.leading_zeros() - L0_BITS) / SLOT_BITS) as usize
     }
 }
 
-/// Lowest set slot index in a level's occupancy bitmap.
+/// The entry a queued node holds.
 #[inline]
-fn first_occupied(occ: &[u64; OCC_WORDS]) -> Option<usize> {
-    for (w, &bits) in occ.iter().enumerate() {
-        if bits != 0 {
-            return Some((w << 6) | bits.trailing_zeros() as usize);
-        }
-    }
-    None
+fn entry(n: &Node) -> &Scheduled {
+    n.s.as_ref().expect("bucket links a free slab node")
 }
 
 impl TimingWheel {
+    #[inline]
+    fn node(&self, l: Link) -> &Node {
+        &self.nodes[l as usize - 1]
+    }
+
+    #[inline]
+    fn node_mut(&mut self, l: Link) -> &mut Node {
+        &mut self.nodes[l as usize - 1]
+    }
+
+    /// Store `s` in a free node (or a new one) and return its link. The
+    /// node's `next` is [`NIL`].
+    #[inline]
+    fn alloc(&mut self, s: Scheduled) -> Link {
+        if self.free == NIL {
+            self.nodes.push(Node { next: NIL, s: Some(s) });
+            return Link::try_from(self.nodes.len()).expect("timing wheel slab overflow");
+        }
+        let l = self.free;
+        let n = self.node_mut(l);
+        let next_free = n.next;
+        n.next = NIL;
+        n.s = Some(s);
+        self.free = next_free;
+        l
+    }
+
     /// Mark the bucket of an entry due at `at` (relative to the current
     /// clock) as holding one more entry and return its index. Does not
     /// touch `len` (cascades move entries without changing the total).
@@ -285,40 +384,120 @@ impl TimingWheel {
     fn claim(&mut self, at: u64) -> usize {
         debug_assert!(at >= self.now_ns, "insert below the wheel clock");
         let lvl = level_of(at, self.now_ns);
-        let slot = ((at >> (SLOT_BITS * lvl as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.occ[lvl][slot >> 6] |= 1u64 << (slot & 63);
+        let width = if lvl == 0 { L0_SLOTS } else { SLOTS };
+        let slot = (at >> level_shift(lvl)) as usize & (width - 1);
+        let b = level_base(lvl) + slot;
+        self.occ[b >> 6] |= 1u64 << (b & 63);
+        if lvl == 0 {
+            self.l0_summary |= 1u64 << (b >> 6);
+        }
         self.level_len[lvl] += 1;
         if lvl as u8 > self.stats.max_level {
             self.stats.max_level = lvl as u8;
         }
-        (lvl << SLOT_BITS) | slot
+        b
     }
 
-    /// Append `s` to its bucket. Cascades and rebases move entries in
-    /// bucket order into buckets holding no other entry of the same
-    /// instant, so appending keeps each instant's seq order.
+    /// Clear bucket `b`'s occupancy bit (it just became empty).
     #[inline]
-    fn insert(&mut self, s: Scheduled) {
-        let i = self.claim(s.at.as_nanos());
-        self.buckets[i].push_back(s);
+    fn vacate(&mut self, b: usize) {
+        let w = b >> 6;
+        self.occ[w] &= !(1u64 << (b & 63));
+        if b < L0_SLOTS && self.occ[w] == 0 {
+            self.l0_summary &= !(1u64 << w);
+        }
     }
 
-    /// Drain every bucket and re-insert relative to a smaller clock.
-    /// Per-bucket FIFO order is preserved, and equal-`at` events always
-    /// share a bucket, so `(at, seq)` order survives the rebase.
+    /// Link node `l` (whose `next` is [`NIL`]) at the tail of bucket `b`.
+    #[inline]
+    fn link_back(&mut self, b: usize, l: Link) {
+        let tail = self.buckets[b].tail;
+        if tail == NIL {
+            self.buckets[b].head = l;
+        } else {
+            self.node_mut(tail).next = l;
+        }
+        self.buckets[b].tail = l;
+    }
+
+    /// Link node `l`, holding a reserved (older) seq, before the first
+    /// entry of bucket `b` due at the same instant with a later seq, or
+    /// at the tail when there is none. Upper-level buckets mix instants,
+    /// so the tail entry alone can't tell.
+    fn link_ordered(&mut self, b: usize, l: Link) {
+        let (at, seq) = {
+            let s = entry(self.node(l));
+            (s.at, s.seq)
+        };
+        let mut prev = NIL;
+        let mut cur = self.buckets[b].head;
+        while cur != NIL {
+            let n = self.node(cur);
+            let e = entry(n);
+            if e.at == at && e.seq > seq {
+                break;
+            }
+            prev = cur;
+            cur = n.next;
+        }
+        self.node_mut(l).next = cur;
+        if prev == NIL {
+            self.buckets[b].head = l;
+        } else {
+            self.node_mut(prev).next = l;
+        }
+        if cur == NIL {
+            self.buckets[b].tail = l;
+        }
+    }
+
+    /// Relink the chain starting at `l` front to back into the buckets
+    /// its entries belong to under the current clock; returns how many
+    /// nodes it moved. Equal-`at` entries always share a bucket, and the
+    /// chain holds all of an instant's entries in seq order, so linking
+    /// each at its new bucket's tail keeps that order.
+    fn relink_chain(&mut self, mut l: Link) -> u64 {
+        let mut moved = 0;
+        while l != NIL {
+            let n = self.node_mut(l);
+            let next = n.next;
+            n.next = NIL;
+            let at = entry(n).at.as_nanos();
+            let b = self.claim(at);
+            self.link_back(b, l);
+            l = next;
+            moved += 1;
+        }
+        moved
+    }
+
+    /// Unlink every bucket and relink its nodes relative to a smaller
+    /// clock. Per-bucket FIFO order is preserved, and equal-`at` events
+    /// always share a bucket, so `(at, seq)` order survives the rebase.
     #[cold]
     fn rebase(&mut self, new_now_ns: u64) {
         self.stats.rebases += 1;
-        let mut all = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            all.extend(b.drain(..));
+        // Collect each bucket's chain into one, in bucket order, before
+        // any relinking can put a node into a bucket not yet visited.
+        let mut head = NIL;
+        let mut tail = NIL;
+        for i in 0..BUCKETS {
+            let b = std::mem::take(&mut self.buckets[i]);
+            if b.head == NIL {
+                continue;
+            }
+            if tail == NIL {
+                head = b.head;
+            } else {
+                self.node_mut(tail).next = b.head;
+            }
+            tail = b.tail;
         }
-        self.occ = [[0; OCC_WORDS]; WHEEL_LEVELS];
+        self.occ = [0; BUCKETS / 64];
+        self.l0_summary = 0;
         self.level_len = [0; WHEEL_LEVELS];
         self.now_ns = new_now_ns;
-        for s in all {
-            self.insert(s);
-        }
+        self.relink_chain(head);
     }
 
     /// Expand the lowest occupied slot of the lowest occupied overflow
@@ -329,55 +508,57 @@ impl TimingWheel {
         let lvl = (1..WHEEL_LEVELS)
             .find(|&l| self.level_len[l] > 0)
             .expect("cascade called on an empty wheel");
-        let slot = first_occupied(&self.occ[lvl]).expect("level_len/occ out of sync");
-        // The slot's window start: bytes above `lvl` from the clock, byte
-        // `lvl` = slot, lower bytes zero. Occupied slots are never behind
-        // the cursor (no entries below the clock), so this only advances.
-        let keep_above = if lvl == WHEEL_LEVELS - 1 {
+        let base = level_base(lvl);
+        let words = &self.occ[base >> 6..(base >> 6) + OCC_WORDS];
+        let slot = words
+            .iter()
+            .enumerate()
+            .find(|&(_, &bits)| bits != 0)
+            .map(|(w, &bits)| (w << 6) | bits.trailing_zeros() as usize)
+            .expect("level_len/occ out of sync");
+        // The slot's window start: bits above the level's field from the
+        // clock, the field = slot, lower bits zero. Occupied slots are
+        // never behind the cursor (no entries below the clock), so this
+        // only advances.
+        let shift = level_shift(lvl);
+        let top = shift + SLOT_BITS;
+        let keep_above = if top >= u64::BITS {
             0
         } else {
-            self.now_ns & !((1u64 << (SLOT_BITS * (lvl as u32 + 1))) - 1)
+            self.now_ns & !((1u64 << top) - 1)
         };
-        let new_now = keep_above | ((slot as u64) << (SLOT_BITS * lvl as u32));
+        let new_now = keep_above | ((slot as u64) << shift);
         debug_assert!(new_now > self.now_ns);
         self.now_ns = new_now;
-        let idx = (lvl << SLOT_BITS) | slot;
-        let mut moved = std::mem::take(&mut self.scratch);
-        moved.extend(self.buckets[idx].drain(..));
-        self.occ[lvl][slot >> 6] &= !(1u64 << (slot & 63));
-        self.level_len[lvl] -= moved.len() as u64;
+        let b = base + slot;
+        let chain = std::mem::take(&mut self.buckets[b]).head;
+        self.vacate(b);
+        // Relinks land strictly below `lvl`: every moved timestamp shares
+        // the bits from the level's field up with the new clock.
+        let moved = self.relink_chain(chain);
+        self.level_len[lvl] -= moved;
         self.stats.cascades += 1;
-        self.stats.cascaded_events += moved.len() as u64;
-        // Re-inserts land strictly below `lvl`: every moved timestamp
-        // shares bytes ≥ lvl with the new clock.
-        for s in moved.drain(..) {
-            self.insert(s);
-        }
-        self.scratch = moved;
+        self.stats.cascaded_events += moved;
     }
 }
 
 impl Scheduler for TimingWheel {
     #[inline]
     fn push(&mut self, s: Scheduled) {
-        if s.at.as_nanos() < self.now_ns {
-            self.rebase(s.at.as_nanos());
+        let at = s.at.as_nanos();
+        if at < self.now_ns {
+            self.rebase(at);
         }
-        let i = self.claim(s.at.as_nanos());
-        let bucket = &mut self.buckets[i];
-        if s.seq > self.max_seq {
-            // No queued entry has a later seq: appending keeps order.
-            self.max_seq = s.seq;
-            bucket.push_back(s);
+        let b = self.claim(at);
+        let seq = s.seq;
+        let l = self.alloc(s);
+        if seq > self.max_seq {
+            // No queued entry has a later seq: linking at the tail keeps
+            // order.
+            self.max_seq = seq;
+            self.link_back(b, l);
         } else {
-            // A reserved (older) seq: its place is before the first entry
-            // due at the same instant with a later seq. Upper-level
-            // buckets mix instants, so the back entry alone can't tell.
-            let pos = bucket
-                .iter()
-                .position(|e| e.at == s.at && e.seq > s.seq)
-                .unwrap_or(bucket.len());
-            bucket.insert(pos, s);
+            self.link_ordered(b, l);
         }
         self.len += 1;
     }
@@ -387,37 +568,49 @@ impl Scheduler for TimingWheel {
         if self.len == 0 {
             return None;
         }
-        loop {
-            if self.level_len[0] > 0 {
-                // Level-0 slots pin full timestamps (invariant 2): the
-                // lowest occupied slot is the global minimum's bucket,
-                // and its FIFO front is the minimum (invariant 1).
-                let slot = first_occupied(&self.occ[0]).expect("level_len/occ out of sync");
-                let bucket = &mut self.buckets[slot];
-                let s = bucket.pop_front().expect("occupied slot with empty bucket");
-                if bucket.is_empty() {
-                    self.occ[0][slot >> 6] &= !(1u64 << (slot & 63));
-                }
-                self.level_len[0] -= 1;
-                self.len -= 1;
-                self.now_ns = s.at.as_nanos();
-                return Some(s);
-            }
+        while self.l0_summary == 0 {
             self.cascade();
         }
+        // Level-0 slots pin full timestamps (invariant 2): the lowest
+        // occupied slot is the global minimum's bucket, and its FIFO head
+        // is the minimum (invariant 1).
+        let w = self.l0_summary.trailing_zeros() as usize;
+        let b = (w << 6) | self.occ[w].trailing_zeros() as usize;
+        let l = self.buckets[b].head;
+        let free = self.free;
+        let n = self.node_mut(l);
+        let next = n.next;
+        let s = n.s.take().expect("bucket links a free slab node");
+        n.next = free;
+        self.free = l;
+        self.buckets[b].head = next;
+        if next == NIL {
+            self.buckets[b].tail = NIL;
+            self.vacate(b);
+        }
+        self.level_len[0] -= 1;
+        self.len -= 1;
+        self.now_ns = s.at.as_nanos();
+        Some(s)
     }
 
     #[inline]
     fn requeue(&mut self, s: Scheduled) {
         // `s` was the most recent pop, so it is ≤ every live entry:
-        // front-pushed into its bucket it becomes the head again, even
+        // linked at its bucket's head it becomes the head again, even
         // when the bucket already holds equal-`at`, later-seq events.
         let at = s.at.as_nanos();
         if at < self.now_ns {
             self.rebase(at);
         }
-        let i = self.claim(at);
-        self.buckets[i].push_front(s);
+        let b = self.claim(at);
+        let l = self.alloc(s);
+        let head = self.buckets[b].head;
+        self.node_mut(l).next = head;
+        self.buckets[b].head = l;
+        if head == NIL {
+            self.buckets[b].tail = l;
+        }
         self.len += 1;
     }
 
@@ -427,9 +620,9 @@ impl Scheduler for TimingWheel {
     }
 
     fn entries(&self) -> Vec<(SimTime, u64, &Event)> {
-        self.buckets
+        self.nodes
             .iter()
-            .flatten()
+            .filter_map(|n| n.s.as_ref())
             .map(|s| (s.at, s.seq, &s.ev))
             .collect()
     }
@@ -751,7 +944,7 @@ mod tests {
         // timer forwarded to the seq reserved when it was armed) must pop
         // before them, whichever level the bucket sits at, and keep that
         // place through the cascades that bring it down to level 0.
-        for at in [7u64, 0x1_23, 0x45_67_89, 0xAB_CD_EF_01] {
+        for at in [7u64, 0x1_23, 0x12_34, 0x45_67_89, 0xAB_CD_EF_01] {
             let mut heap = SchedulerImpl::new(Backend::Heap);
             let mut wheel = SchedulerImpl::new(Backend::Wheel);
             for (a, seq) in [(at, 2), (at + 1, 5), (at, 4), (at, 3), (at - 1, 6), (at, 1)] {
@@ -766,17 +959,23 @@ mod tests {
 
     #[test]
     fn reserved_push_into_a_mixed_instant_bucket_stays_ordered() {
-        // An upper-level bucket mixes instants, so its back entry need not
-        // hold its newest seq: after the older-seq (0x110, 1) lands behind
-        // (0x100, 3), a reserved (0x100, 2) must still go before (0x100, 3).
+        // An upper-level bucket mixes instants, so its tail entry need not
+        // hold its newest seq: after the older-seq (0x1010, 1) lands behind
+        // (0x1000, 3) in level 1, a reserved (0x1000, 2) must still go
+        // before (0x1000, 3).
         let mut heap = SchedulerImpl::new(Backend::Heap);
         let mut wheel = SchedulerImpl::new(Backend::Wheel);
-        for (at, seq) in [(0x100, 3), (0x110, 1), (0x100, 2)] {
+        for (at, seq) in [(0x1000, 3), (0x1010, 1), (0x1000, 2)] {
             heap.push(sch(at, seq));
             wheel.push(sch(at, seq));
         }
+        assert_eq!(
+            wheel.level_depths()[1],
+            3,
+            "all three share a level-1 bucket"
+        );
         let want = drain(&mut heap);
-        assert_eq!(want, vec![(0x100, 2), (0x100, 3), (0x110, 1)]);
+        assert_eq!(want, vec![(0x1000, 2), (0x1000, 3), (0x1010, 1)]);
         assert_eq!(drain(&mut wheel), want);
     }
 
@@ -797,14 +996,101 @@ mod tests {
         );
     }
 
+    #[test]
+    fn level_zero_spans_one_4096_ns_window() {
+        // Level 0 holds every instant that shares the clock's upper 52
+        // bits; the next window starts level 1.
+        for now in [0u64, 3 << 12] {
+            let mut w = TimingWheel::default();
+            if now > 0 {
+                w.push(sch(now, 1));
+                assert_eq!(w.pop().unwrap().at.as_nanos(), now);
+            }
+            w.push(sch(now + 4095, 2));
+            assert_eq!(Scheduler::level_depths(&w), [1, 0, 0, 0, 0, 0, 0, 0]);
+            w.push(sch(now + 4096, 3));
+            assert_eq!(Scheduler::level_depths(&w), [1, 1, 0, 0, 0, 0, 0, 0]);
+            assert_eq!(drain(&mut w), vec![(now + 4095, 2), (now + 4096, 3)]);
+        }
+    }
+
+    #[test]
+    fn cascaded_level_one_bucket_pops_in_at_seq_order() {
+        // One level-1 bucket holding mixed instants, equal-`at` runs and a
+        // reserved seq: a single cascade relinks it into level 0, and the
+        // pops come out in (at, seq) order.
+        let mut w = TimingWheel::default();
+        let pushes = [
+            (0x1_005, 2),
+            (0x1_002, 3),
+            (0x1_005, 4),
+            (0x1_0F9, 5),
+            (0x1_002, 6),
+            (0x1_005, 1),
+        ];
+        for &(at, seq) in &pushes {
+            w.push(sch(at, seq));
+        }
+        assert_eq!(Scheduler::level_depths(&w)[1], pushes.len() as u64);
+        let mut want = pushes.to_vec();
+        want.sort_unstable();
+        assert_eq!(drain(&mut w), want);
+        let st = Scheduler::stats(&w);
+        assert_eq!((st.cascades, st.cascaded_events), (1, pushes.len() as u64));
+    }
+
+    #[test]
+    fn slab_never_outgrows_the_peak_live_count() {
+        // Burst-and-drain cycles of varying size, with requeues, reserved
+        // pushes and a rebase mixed in: freed nodes are reused before the
+        // slab grows, so it never holds more nodes than were live at once.
+        let mut w = TimingWheel::default();
+        let mut seq = 0u64;
+        let mut peak = 0usize;
+        let mut clock = 0u64;
+        for (cycle, &burst) in [40usize, 7, 300, 120, 300, 1, 64].iter().enumerate() {
+            for i in 0..burst {
+                // Every other seq is reserved for a later, older-seq push.
+                seq += 2;
+                let at = clock + (i as u64 * 7919) % 50_000;
+                w.push(sch(at, seq));
+                if i % 5 == 0 {
+                    w.push(sch(at, seq - 1));
+                }
+                peak = peak.max(Scheduler::len(&w));
+            }
+            assert_eq!(w.nodes.len(), peak, "cycle {cycle}");
+            let keep = if cycle % 2 == 0 { 0 } else { burst / 3 };
+            while Scheduler::len(&w) > keep {
+                let s = w.pop().unwrap();
+                clock = s.at.as_nanos();
+                if s.seq % 11 == 0 {
+                    w.requeue(s);
+                    w.pop().unwrap();
+                }
+            }
+            if cycle == 3 {
+                // A push below the clock rebases the survivors.
+                seq += 1;
+                clock = clock.saturating_sub(10_000);
+                w.push(sch(clock, seq));
+                peak = peak.max(Scheduler::len(&w));
+            }
+            assert!(w.nodes.len() <= peak, "cycle {cycle}");
+        }
+        assert!(Scheduler::stats(&w).rebases >= 1);
+        assert_eq!(w.nodes.len(), peak);
+    }
+
     // Satellite: always-on differential proptest, heap vs wheel over
     // random event streams (pushes with clustered timestamps, pops, and
     // head requeues — the full kernel op set — plus reserved pushes that
-    // carry an older seq into instants already queued under later seqs).
+    // carry an older seq into instants already queued under later seqs,
+    // and pushes that straddle the edges of level-0 and level-1 windows).
     proptest! {
         #[test]
         fn differential_heap_vs_wheel(ops in proptest::collection::vec(
-            (0u8..13, 0u64..5, 0u64..64), 1..400)
+            (0u8..14, 0u64..5, 0u64..64), 1..400)
         ) {
             let mut heap = SchedulerImpl::new(Backend::Heap);
             let mut wheel = SchedulerImpl::new(Backend::Wheel);
@@ -857,6 +1143,16 @@ mod tests {
                     if let Some((at, _)) = a {
                         clock = at;
                     }
+                } else if op == 12 {
+                    // Push within 2 ns of one of the next few 4,096-ns
+                    // (level 0) or 1,048,576-ns (level 1) window edges.
+                    seq += 1;
+                    let bits = if delta % 4 == 0 { 20 } else { 12 };
+                    let edge = ((clock >> bits) + 1 + delta % 3) << bits;
+                    let at = edge + scale - 2;
+                    heap.push(sch(at, seq));
+                    wheel.push(sch(at, seq));
+                    ats.push(at);
                 } else {
                     // Pop-and-requeue the head in both (the run-loop
                     // deadline pattern); clock intentionally NOT advanced,

@@ -82,6 +82,10 @@ fn chaos_incast(seed: u64, backend: Backend) -> RunFingerprint {
     let verdict = sim.run_until_flows_done(SimTime::from_millis(100));
     assert!(verdict.is_complete(), "chaos incast must finish: {verdict:?}");
     assert_eq!(sim.kernel.scheduler_backend(), backend);
+    fingerprint(&sim)
+}
+
+fn fingerprint(sim: &Sim) -> RunFingerprint {
     RunFingerprint {
         events: sim.events_processed(),
         fcts: sim
@@ -137,6 +141,51 @@ fn wheel_is_bit_identical_to_the_heap_oracle() {
             }
         }
     }
+}
+
+/// A 4-sender incast run in `run_until` chunks. After each chunk the run
+/// loop has popped and requeued the first event past the deadline, which
+/// moved the wheel's clock there; a flow added to start 1 ns after the
+/// deadline lands below that clock, so the wheel must rebase.
+fn chunked_incast_with_late_flows(backend: Backend) -> (RunFingerprint, u64) {
+    let (topo, srcs, dst) = dumbbell(4, 40);
+    let mut sim = Sim::new(
+        topo,
+        SimConfig::default(),
+        Box::new(RoccHostCcFactory::new()),
+        Box::new(RoccSwitchCcFactory::new()),
+    );
+    sim.set_scheduler_backend(backend);
+    let flow = |id: u64, src: NodeId, start: SimTime| FlowSpec {
+        id: FlowId(id),
+        src,
+        dst,
+        size: 200_000,
+        start,
+        offered: None,
+    };
+    for (i, &s) in srcs.iter().enumerate() {
+        sim.add_flow(flow(i as u64, s, SimTime::ZERO));
+    }
+    let mut deadline = SimTime::ZERO;
+    for k in 0..12u64 {
+        deadline = deadline + SimDuration::from_nanos(37_013);
+        sim.run_until(deadline);
+        let src = srcs[k as usize % srcs.len()];
+        sim.add_flow(flow(100 + k, src, deadline + SimDuration::from_nanos(1)));
+    }
+    sim.run_until_flows_done(SimTime::from_millis(100)).assert_complete();
+    assert_eq!(sim.trace.fcts.len(), srcs.len() + 12);
+    (fingerprint(&sim), sim.kernel.scheduler_stats().rebases)
+}
+
+#[test]
+fn wheel_rebases_match_the_heap_in_a_full_sim() {
+    let (heap, _) = chunked_incast_with_late_flows(Backend::Heap);
+    let (wheel, rebases) = chunked_incast_with_late_flows(Backend::Wheel);
+    assert_eq!(heap, wheel);
+    assert_eq!(wheel.clamps, 0, "every late flow starts at or after the kernel clock");
+    assert!(rebases > 0, "no late flow landed below the wheel clock");
 }
 
 #[test]
