@@ -876,7 +876,10 @@ fn main() {
                     };
                     match rocc_sim::snapshot::inspect(&bytes) {
                         Ok(info) => {
-                            println!("{file}: rocc-snapshot/v2");
+                            println!(
+                                "{file}: {}",
+                                String::from_utf8_lossy(rocc_sim::snapshot::SNAPSHOT_MAGIC)
+                            );
                             println!("  seed:             {}", info.seed);
                             println!("  config digest:    {:016x}", info.config_digest);
                             println!("  sim time:         {} ns", info.now_ns);

@@ -263,7 +263,14 @@ fn corrupt_snapshot_falls_back_to_fresh_cell_run() {
     let store = SnapshotStore::new(scratch_path("corrupt-snapshots"));
     let key = "corrupt/seed5";
     // A torn/garbage checkpoint left by a crash mid-write.
-    store.save(key, b"rocc-snapshot/v2 but trailing garbage");
+    // It carries the current magic, so it is refused by its framing, not
+    // by its version.
+    let torn = [
+        &rocc_sim::snapshot::SNAPSHOT_MAGIC[..],
+        b" but trailing garbage",
+    ]
+    .concat();
+    store.save(key, &torn);
     let resumed_from = AtomicU64::new(u64::MAX);
     let sup = Supervisor::new(ExecMode::Serial).with_retry(RetryPolicy::no_retry());
     let campaign = sup.run_resumable(

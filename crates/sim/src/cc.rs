@@ -12,6 +12,7 @@
 //! DCQCN, DCQCN+PI, QCN, TIMELY, and HPCC.
 
 use crate::packet::{CpId, FlowId, IntStack, PacketKind};
+use crate::snapshot::wire;
 use crate::telemetry::{CcEvent, EventMask};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::NodeId;
@@ -170,6 +171,13 @@ pub enum FeedbackEvent {
         cp: CpId,
     },
 }
+
+wire!(enum FeedbackEvent {
+    0 => RoccCnp { fair_rate_units, cp },
+    1 => RoccQueueReport { q_cur_units, f_max_units, cp },
+    2 => DcqcnCnp,
+    3 => QcnFb { fb, cp },
+});
 
 /// ACK information delivered to a sender's congestion control.
 #[derive(Debug, Clone, Copy)]

@@ -13,9 +13,10 @@
 //! * [`Sim::state_digest`] hashes every subsystem's dynamic state
 //!   **separately** — scheduler queue, packet slab, both RNG streams,
 //!   per-switch queues/CC state, per-host CC state, fault cursors,
-//!   telemetry counters — using the exact `rocc-snapshot/v2` word codecs,
-//!   so a digest difference names the component that diverged, and a
-//!   word-level diff of the two serializations localizes the field group.
+//!   telemetry counters — over the exact bytes a snapshot stores as its
+//!   sections, so a digest difference names the component that diverged,
+//!   and a word-level diff of the two serializations localizes the field
+//!   group.
 //! * [`DigestLedger`] records those digests every N dispatched events
 //!   behind the same one-branch gating as auto-checkpointing (recording a
 //!   run is bit-identical to not recording it; pinned by the
@@ -46,9 +47,10 @@ pub const DIVERGENCE_REPORT_SCHEMA: &str = "rocc-divergence-report/v1";
 // Component states and digests
 // ---------------------------------------------------------------------------
 
-/// One subsystem's dynamic state, serialized with the `rocc-snapshot/v2`
-/// word codecs. Produced by [`Sim::component_states`]; the byte stream is
-/// the unit both of digesting and of word-level diffing.
+/// One subsystem's dynamic state, serialized by the snapshot codec: one
+/// section of a `rocc-snapshot/v3` body. Produced by
+/// [`Sim::component_states`]; the byte stream is the unit both of
+/// digesting and of word-level diffing.
 #[derive(Clone, Debug)]
 pub struct ComponentState {
     /// Canonical component name (`kernel`, `rng`, `sched`, `faults`,
@@ -168,9 +170,9 @@ impl ComponentDigests {
 impl Sim {
     /// Per-subsystem FNV-1a-64 digests of the current dynamic state: one
     /// digest per [`Sim::component_states`] entry, computed over the same
-    /// `rocc-snapshot/v2` serialization the snapshot machinery writes.
-    /// Equal full-state snapshots imply equal digests; a digest mismatch
-    /// names the first subsystem whose state diverged.
+    /// bytes the snapshot machinery stores. Equal full-state snapshots
+    /// imply equal digests; a digest mismatch names the first subsystem
+    /// whose state diverged.
     pub fn state_digest(&self) -> ComponentDigests {
         ComponentDigests::from_states(&self.component_states())
     }

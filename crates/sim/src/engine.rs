@@ -25,7 +25,7 @@ use crate::sanitizer::{
 };
 use crate::sched::{Backend, Scheduled, Scheduler, SchedulerImpl};
 use crate::slab::{PacketRef, PacketSlab};
-use crate::snapshot::{self, SnapReader, SnapWriter, SnapshotError};
+use crate::snapshot::{self, wire, Restore, SnapReader, SnapWriter, SnapshotError, Wire};
 use crate::switch::Switch;
 use crate::telemetry::{DropCause, EventMask, SimEvent, SimProfile};
 use crate::time::{SimDuration, SimTime};
@@ -111,6 +111,20 @@ pub enum Event {
     Fault(FaultEvent),
 }
 
+wire!(enum Event {
+    0 => Arrive { link, pr },
+    1 => SwitchTxDone { node, port },
+    2 => HostTxDone { node },
+    3 => HostWake { node },
+    4 => CpTimer { node, port },
+    5 => HostCcTimer { node, flow, token },
+    6 => Feedback { node, flow, fb },
+    7 => FlowStart { idx },
+    8 => FlowStop { flow },
+    9 => Sample,
+    10 => Fault(fault),
+});
+
 impl Event {
     /// Index into [`crate::profiler::EVENT_KIND_NAMES`] for the
     /// profiler's dispatch mix.
@@ -165,6 +179,11 @@ pub struct Kernel {
     /// The requested (pre-clamp) timestamp of the most recent clamp.
     last_clamp_requested: SimTime,
 }
+
+// The clock and the odometers. The queue, the run RNG, the fault state,
+// the conservation ledger and the slab are sections of their own; the
+// config and the profiler are not captured.
+wire!(state Kernel { seq, peak_heap, past_due_clamps, last_clamp_requested, now });
 
 impl Kernel {
     pub(crate) fn new(config: SimConfig, n_links: usize, n_nodes: usize) -> Self {
@@ -351,6 +370,21 @@ enum NodeSlot {
     Switch(Switch),
 }
 
+/// One section of a snapshot body (see [`Sim::component_states`]).
+#[derive(Clone, Copy)]
+enum Section {
+    Kernel,
+    Rng,
+    Sched,
+    Faults,
+    San,
+    Slab,
+    Node(usize),
+    Run,
+    Trace,
+    Sanitizer,
+}
+
 /// Consumer of auto-checkpoints: called with `(events_processed, bytes)`
 /// at every checkpoint stride.
 pub type CheckpointSink = Box<dyn FnMut(u64, &[u8])>;
@@ -437,6 +471,19 @@ pub struct Sim {
     /// (one predictable branch) and publishes the delta.
     clamps_published: u64,
 }
+
+// `Sim`'s own fields form the `run` section: the flow registrations are
+// construction state, recorded so restore can verify them, and the run
+// odometers move with the schedule.
+wire!(state Sim {
+    flows: len,
+    finite_flows: same,
+    stall_run,
+    sampling_bootstrapped,
+    profile_base_events,
+    profile_base_sim_ns,
+    profile_base_seq,
+});
 
 impl Sim {
     /// Build a simulation over `topo` with the given CC factories.
@@ -1008,12 +1055,14 @@ impl Sim {
     // ------------------------------------------------------ snapshotting
 
     /// Serialize the complete dynamic state of the run as a
-    /// `rocc-snapshot/v2` document: scheduler heap contents, packet slab,
-    /// RNG streams, switch and host state, fault cursors, budget odometers,
-    /// and all collected instrumentation. Restoring the bytes into a
-    /// freshly rebuilt, identically configured `Sim` (see [`Sim::restore`])
-    /// resumes the run with a byte-identical schedule: verdicts, metrics
-    /// JSONL, and aggregates match an uninterrupted run exactly.
+    /// `rocc-snapshot/v3` document: the [`Sim::component_states`]
+    /// sections — scheduler queue, packet slab, RNG streams, switch and
+    /// host state, fault cursors, budget odometers, and all collected
+    /// instrumentation — each framed as its name and its bytes. Restoring
+    /// the bytes into a freshly rebuilt, identically configured `Sim` (see
+    /// [`Sim::restore`]) resumes the run with a byte-identical schedule:
+    /// verdicts, metrics JSONL, and aggregates match an uninterrupted run
+    /// exactly.
     ///
     /// Not captured (by design): telemetry subscribers (trait objects —
     /// the restoring run re-attaches its own), accumulated wall-clock time
@@ -1024,52 +1073,10 @@ impl Sim {
     /// the wrong setup fails loudly instead of diverging silently.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        // Kernel dynamics. The event queue serializes as a (at, seq)-sorted
-        // vec regardless of backend — (at, seq) is a total order, so pushing
-        // the sorted entries back into ANY backend yields an identical pop
-        // order, and a snapshot taken under the wheel restores under the
-        // heap (and vice versa) bit-identically.
-        w.u64(self.kernel.seq);
-        w.usize(self.kernel.peak_heap);
-        w.u64(self.kernel.past_due_clamps);
-        w.time(self.kernel.last_clamp_requested);
-        w.words(&self.kernel.rng.state());
-        let mut queued = self.kernel.sched.entries();
-        queued.sort_by_key(|&(at, seq, _)| (at, seq));
-        w.usize(queued.len());
-        for (at, seq, ev) in queued {
-            w.time(at);
-            w.u64(seq);
-            snapshot::write_event(&mut w, ev);
+        for c in self.component_states() {
+            c.name.put(&mut w);
+            w.bytes(&c.bytes);
         }
-        self.kernel.faults.save_state(&mut w);
-        self.kernel.san.save_state(&mut w);
-        self.kernel.packets.save_state(&mut w);
-        // Node states, in topology order.
-        w.usize(self.nodes.len());
-        for n in &self.nodes {
-            match n {
-                NodeSlot::Host(h) => {
-                    w.u8(0);
-                    h.save_state(&mut w);
-                }
-                NodeSlot::Switch(s) => {
-                    w.u8(1);
-                    s.save_state(&mut w);
-                }
-            }
-        }
-        // Run bookkeeping and profiling anchors.
-        w.usize(self.flows.len());
-        w.u64(self.finite_flows);
-        w.u64(self.stall_run);
-        w.bool(self.sampling_bootstrapped);
-        w.u64(self.profile_base_events);
-        w.u64(self.profile_base_sim_ns);
-        w.u64(self.profile_base_seq);
-        // Instrumentation.
-        self.trace.save_state(&mut w);
-        self.sanitizer.save_state(&mut w);
         snapshot::frame(
             self.kernel.config.seed,
             snapshot::config_digest(&self.kernel.config),
@@ -1087,9 +1094,11 @@ impl Sim {
     /// seed + configuration digest), same CC factories, same `add_flow`
     /// calls, and the same trace watch registrations and sanitizer /
     /// telemetry / observatory enablement (verified structurally during
-    /// decode). Restore discards the fresh bootstrap heap and replaces
-    /// every piece of dynamic state; accumulated wall-clock time resets to
-    /// zero and any recorded budget failure is cleared.
+    /// decode). Sections are decoded in order, each under its expected
+    /// name and each consumed exactly. Restore discards the fresh
+    /// bootstrap queue and replaces every piece of dynamic state;
+    /// accumulated wall-clock time resets to zero and any recorded budget
+    /// failure is cleared.
     ///
     /// On error the sim may be left partially overwritten — discard it and
     /// rebuild (the supervisor falls back to a fresh cell run).
@@ -1106,68 +1115,30 @@ impl Sim {
             });
         }
         let mut r = SnapReader::new(body);
-        let seq = r.u64()?;
-        let peak_heap = r.usize()?;
-        let past_due_clamps = r.u64()?;
-        let last_clamp_requested = r.time()?;
-        let words = r.words()?;
-        if words.len() != 4 {
-            return Err(SnapshotError::Malformed("rng state"));
-        }
-        let rng = StdRng::from_state([words[0], words[1], words[2], words[3]]);
-        let nh = r.len()?;
-        // Rebuild whichever backend this sim runs: the entries were
-        // written (at, seq)-sorted, so in-order pushes reconstruct the
-        // schedule exactly in either backend.
-        let mut sched = SchedulerImpl::new(self.kernel.sched.backend());
-        for _ in 0..nh {
-            let at = r.time()?;
-            let eseq = r.u64()?;
-            let ev = snapshot::read_event(&mut r)?;
-            sched.push(Scheduled { at, seq: eseq, ev });
-        }
-        self.kernel.faults.load_state(&mut r)?;
-        self.kernel.san.load_state(&mut r)?;
-        self.kernel.packets.load_state(&mut r)?;
-        let nn = r.len()?;
-        if nn != self.nodes.len() {
-            return Err(SnapshotError::Malformed("node count differs"));
-        }
-        {
-            let Sim { nodes, host_cc, .. } = self;
-            for n in nodes.iter_mut() {
-                match (r.u8()?, n) {
-                    (0, NodeSlot::Host(h)) => h.load_state(&mut r, &**host_cc)?,
-                    (1, NodeSlot::Switch(s)) => s.load_state(&mut r)?,
-                    _ => return Err(SnapshotError::Malformed("node role differs")),
-                }
+        for section in self.sections() {
+            if String::get(&mut r)? != self.section_name(section) {
+                return Err(SnapshotError::Malformed(match section {
+                    Section::Node(_) => "node count or role differs",
+                    _ => "section order differs",
+                }));
+            }
+            let mut sr = SnapReader::new(r.bytes()?);
+            self.load_section(section, &mut sr)?;
+            if !sr.exhausted() {
+                return Err(SnapshotError::Malformed("section has trailing bytes"));
             }
         }
-        let nf = r.usize()?;
-        let finite = r.u64()?;
-        if nf != self.flows.len() || finite != self.finite_flows {
-            return Err(SnapshotError::Malformed("flow registration differs"));
-        }
-        self.stall_run = r.u64()?;
-        self.sampling_bootstrapped = r.bool()?;
-        self.profile_base_events = r.u64()?;
-        self.profile_base_sim_ns = r.u64()?;
-        self.profile_base_seq = r.u64()?;
-        self.trace.load_state(&mut r)?;
-        self.sanitizer.load_state(&mut r)?;
         if !r.exhausted() {
             return Err(SnapshotError::Malformed("trailing bytes"));
         }
-        // All reads succeeded: commit the kernel dynamics.
-        self.kernel.now = SimTime::from_nanos(info.now_ns);
-        self.kernel.seq = seq;
-        self.kernel.peak_heap = peak_heap;
-        self.kernel.past_due_clamps = past_due_clamps;
-        self.kernel.last_clamp_requested = last_clamp_requested;
-        self.clamps_published = past_due_clamps;
-        self.kernel.rng = rng;
-        self.kernel.sched = sched;
-        self.events_processed = info.events_processed;
+        if (self.kernel.now.as_nanos(), self.events_processed)
+            != (info.now_ns, info.events_processed)
+        {
+            return Err(SnapshotError::Malformed(
+                "header differs from the kernel section",
+            ));
+        }
+        self.clamps_published = self.kernel.past_due_clamps;
         self.budget_failure = None;
         self.wall = std::time::Duration::ZERO;
         Ok(())
@@ -1207,8 +1178,7 @@ impl Sim {
     // ------------------------------------------- divergence observatory
 
     /// Serialize every subsystem's dynamic state as a separate named byte
-    /// stream, using the same `rocc-snapshot/v2` word codecs (and the
-    /// same section boundaries) as [`Sim::snapshot`]. This is the raw
+    /// stream: the sections [`Sim::snapshot`] frames. This is the raw
     /// material of the divergence observatory: hashing each component
     /// yields [`Sim::state_digest`], and diffing two sims' streams
     /// word-by-word localizes a divergence to the exact field group that
@@ -1218,89 +1188,130 @@ impl Sim {
     /// `faults`, `san`, `slab`, one `host/N` / `switch/N` per node in
     /// topology order, `run`, `trace`, `sanitizer`.
     pub fn component_states(&self) -> Vec<crate::digest::ComponentState> {
-        use crate::digest::ComponentState;
-        let mut out = Vec::with_capacity(self.nodes.len() + 9);
+        self.sections()
+            .into_iter()
+            .map(|section| {
+                let mut w = SnapWriter::new();
+                self.save_section(section, &mut w);
+                crate::digest::ComponentState::new(self.section_name(section), w.into_bytes())
+            })
+            .collect()
+    }
 
-        // Kernel odometers and the clock.
-        let mut w = SnapWriter::new();
-        w.u64(self.kernel.seq);
-        w.usize(self.kernel.peak_heap);
-        w.u64(self.kernel.past_due_clamps);
-        w.time(self.kernel.last_clamp_requested);
-        w.time(self.kernel.now);
-        w.u64(self.events_processed);
-        out.push(ComponentState::new("kernel", w.into_bytes()));
-
-        // The run RNG stream.
-        let mut w = SnapWriter::new();
-        w.words(&self.kernel.rng.state());
-        out.push(ComponentState::new("rng", w.into_bytes()));
-
-        // The scheduler queue, (at, seq)-sorted exactly as the snapshot
-        // serializes it, so heap and wheel digests agree whenever their
-        // schedules do.
-        let mut w = SnapWriter::new();
-        let mut queued = self.kernel.sched.entries();
-        queued.sort_by_key(|&(at, seq, _)| (at, seq));
-        w.usize(queued.len());
-        for (at, seq, ev) in queued {
-            w.time(at);
-            w.u64(seq);
-            snapshot::write_event(&mut w, ev);
-        }
-        out.push(ComponentState::new("sched", w.into_bytes()));
-
-        // Fault cursors + the fault RNG ("both RNGs" live in rng/faults).
-        let mut w = SnapWriter::new();
-        self.kernel.faults.save_state(&mut w);
-        out.push(ComponentState::new("faults", w.into_bytes()));
-
-        let mut w = SnapWriter::new();
-        self.kernel.san.save_state(&mut w);
-        out.push(ComponentState::new("san", w.into_bytes()));
-
-        let mut w = SnapWriter::new();
-        self.kernel.packets.save_state(&mut w);
-        out.push(ComponentState::new("slab", w.into_bytes()));
-
-        // Per-node: host CC/transport state, switch queues/CC state.
-        for (i, n) in self.nodes.iter().enumerate() {
-            let mut w = SnapWriter::new();
-            let name = match n {
-                NodeSlot::Host(h) => {
-                    h.save_state(&mut w);
-                    format!("host/{i}")
-                }
-                NodeSlot::Switch(s) => {
-                    s.save_state(&mut w);
-                    format!("switch/{i}")
-                }
-            };
-            out.push(ComponentState::new(name, w.into_bytes()));
-        }
-
-        // Run bookkeeping (flow registrations are construction state, but
-        // the odometers move with the schedule).
-        let mut w = SnapWriter::new();
-        w.usize(self.flows.len());
-        w.u64(self.finite_flows);
-        w.u64(self.stall_run);
-        w.bool(self.sampling_bootstrapped);
-        w.u64(self.profile_base_events);
-        w.u64(self.profile_base_sim_ns);
-        w.u64(self.profile_base_seq);
-        out.push(ComponentState::new("run", w.into_bytes()));
-
-        // Telemetry counters and collected series.
-        let mut w = SnapWriter::new();
-        self.trace.save_state(&mut w);
-        out.push(ComponentState::new("trace", w.into_bytes()));
-
-        let mut w = SnapWriter::new();
-        self.sanitizer.save_state(&mut w);
-        out.push(ComponentState::new("sanitizer", w.into_bytes()));
-
+    /// The snapshot sections in canonical order: the one list both
+    /// [`Sim::component_states`] and [`Sim::restore`] walk.
+    fn sections(&self) -> Vec<Section> {
+        let mut out = vec![
+            Section::Kernel,
+            Section::Rng,
+            Section::Sched,
+            Section::Faults,
+            Section::San,
+            Section::Slab,
+        ];
+        out.extend((0..self.nodes.len()).map(Section::Node));
+        out.extend([Section::Run, Section::Trace, Section::Sanitizer]);
         out
+    }
+
+    fn section_name(&self, section: Section) -> String {
+        match section {
+            Section::Kernel => "kernel".into(),
+            Section::Rng => "rng".into(),
+            Section::Sched => "sched".into(),
+            Section::Faults => "faults".into(),
+            Section::San => "san".into(),
+            Section::Slab => "slab".into(),
+            Section::Node(i) => match self.nodes[i] {
+                NodeSlot::Host(_) => format!("host/{i}"),
+                NodeSlot::Switch(_) => format!("switch/{i}"),
+            },
+            Section::Run => "run".into(),
+            Section::Trace => "trace".into(),
+            Section::Sanitizer => "sanitizer".into(),
+        }
+    }
+
+    fn save_section(&self, section: Section, w: &mut SnapWriter) {
+        match section {
+            Section::Kernel => {
+                self.kernel.save(w);
+                self.events_processed.put(w);
+            }
+            // The run RNG as a length-prefixed word vector.
+            Section::Rng => self.kernel.rng.state().to_vec().put(w),
+            // The queue (at, seq)-sorted whatever the backend: (at, seq)
+            // is a total order, so pushing the sorted entries back into
+            // either backend yields an identical pop order, and heap and
+            // wheel digests agree whenever their schedules do.
+            Section::Sched => {
+                let mut queued: Vec<(SimTime, u64, Event)> = self
+                    .kernel
+                    .sched
+                    .entries()
+                    .into_iter()
+                    .map(|(at, seq, ev)| (at, seq, ev.clone()))
+                    .collect();
+                queued.sort_by_key(|&(at, seq, _)| (at, seq));
+                queued.put(w);
+            }
+            Section::Faults => self.kernel.faults.save(w),
+            Section::San => self.kernel.san.save(w),
+            Section::Slab => self.kernel.packets.save(w),
+            Section::Node(i) => match &self.nodes[i] {
+                NodeSlot::Host(h) => h.save(w),
+                NodeSlot::Switch(s) => s.save(w),
+            },
+            Section::Run => Restore::save(self, w),
+            Section::Trace => self.trace.save(w),
+            Section::Sanitizer => self.sanitizer.save(w),
+        }
+    }
+
+    fn load_section(
+        &mut self,
+        section: Section,
+        r: &mut SnapReader<'_>,
+    ) -> Result<(), SnapshotError> {
+        match section {
+            Section::Kernel => {
+                self.kernel.load(r)?;
+                self.events_processed.load(r)
+            }
+            Section::Rng => {
+                let words = Vec::<u64>::get(r)?;
+                let state = words
+                    .try_into()
+                    .map_err(|_| SnapshotError::Malformed("rng state"))?;
+                self.kernel.rng = StdRng::from_state(state);
+                Ok(())
+            }
+            Section::Sched => {
+                let mut sched = SchedulerImpl::new(self.kernel.sched.backend());
+                for (at, seq, ev) in Vec::<(SimTime, u64, Event)>::get(r)? {
+                    sched.push(Scheduled { at, seq, ev });
+                }
+                self.kernel.sched = sched;
+                Ok(())
+            }
+            Section::Faults => self.kernel.faults.load(r),
+            Section::San => self.kernel.san.load(r),
+            Section::Slab => {
+                self.kernel.packets.load(r)?;
+                self.kernel.packets.check_restored()
+            }
+            Section::Node(i) => match &mut self.nodes[i] {
+                NodeSlot::Host(h) => {
+                    h.load(r)?;
+                    h.rebind_cc(&*self.host_cc);
+                    Ok(())
+                }
+                NodeSlot::Switch(s) => s.load(r),
+            },
+            Section::Run => Restore::load(self, r),
+            Section::Trace => self.trace.load(r),
+            Section::Sanitizer => self.sanitizer.load(r),
+        }
     }
 
     /// The next event this sim would dispatch — `(at, seq)`-minimum of

@@ -30,7 +30,7 @@
 //! from congestion drops.
 
 use crate::packet::PacketKind;
-use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
+use crate::snapshot::wire;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkId, NodeId};
 use rand::rngs::StdRng;
@@ -345,6 +345,14 @@ pub enum FaultEvent {
     HostRestore(NodeId),
 }
 
+wire!(enum FaultEvent {
+    0 => LinkDown(link),
+    1 => LinkUp(link),
+    2 => HostPause(node),
+    3 => HostCrash(node),
+    4 => HostRestore(node),
+});
+
 /// Verdict for one packet delivery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultDecision {
@@ -377,6 +385,11 @@ pub struct FaultState {
     /// Fast path: true iff the plan injects anything at all.
     active: bool,
 }
+
+// The PRNG position and the current down flags; the plan is construction
+// state the restoring run rebuilds identically, and so are the numbers of
+// links and nodes.
+wire!(state FaultState { rng, link_down: fixed, host_down: fixed });
 
 impl FaultState {
     /// Build runtime state for `plan` over a fabric with `n_links` links and
@@ -489,53 +502,6 @@ impl FaultState {
             }
         }
         FaultDecision::Deliver
-    }
-
-    /// Serialize the dynamic fault state: the PRNG position and the
-    /// current down flags. The plan itself is construction state the
-    /// restoring run rebuilds identically.
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-        for word in self.rng.state() {
-            w.u64(word);
-        }
-        w.usize(self.link_down.len());
-        for &d in &self.link_down {
-            w.bool(d);
-        }
-        w.usize(self.host_down.len());
-        for &d in &self.host_down {
-            w.bool(d);
-        }
-    }
-
-    /// Overwrite the dynamic fault state from a [`FaultState::save_state`]
-    /// stream. Fails if the down-flag vector lengths disagree with the
-    /// rebuilt fabric (wrong topology).
-    pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        let mut s = [0u64; 4];
-        for word in &mut s {
-            *word = r.u64()?;
-        }
-        let nl = r.len()?;
-        if nl != self.link_down.len() {
-            return Err(SnapshotError::Malformed("fault link count"));
-        }
-        let mut link_down = Vec::with_capacity(nl);
-        for _ in 0..nl {
-            link_down.push(r.bool()?);
-        }
-        let nh = r.len()?;
-        if nh != self.host_down.len() {
-            return Err(SnapshotError::Malformed("fault host count"));
-        }
-        let mut host_down = Vec::with_capacity(nh);
-        for _ in 0..nh {
-            host_down.push(r.bool()?);
-        }
-        self.rng = StdRng::from_state(s);
-        self.link_down = link_down;
-        self.host_down = host_down;
-        Ok(())
     }
 }
 

@@ -10,6 +10,7 @@ use crate::engine::{Event, FlowMeta, Kernel, HOST_DOWN_RETRY};
 use crate::fastmap::FxHashMap;
 use crate::packet::{FlowId, IntStack, Packet, PacketKind};
 use crate::profiler::Phase;
+use crate::snapshot::{wire, SnapReader, SnapWriter, SnapshotError, Wire};
 use crate::telemetry::{CcEvent, EventMask, SimEvent};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkId, NodeId, Topology};
@@ -46,6 +47,8 @@ struct TimerSlot {
     /// and pops as a no-op.
     queued: Option<(SimTime, u64)>,
 }
+
+wire!(TimerSlot { armed, queued });
 
 impl TimerSlot {
     /// Arm (or re-arm) the slot for `at`; `ev` is this slot's event.
@@ -115,6 +118,51 @@ struct SenderFlow {
     last_rate: BitRate,
 }
 
+wire!(SenderFlow {
+    dst,
+    size,
+    next_seq,
+    acked,
+    max_sent,
+    offered,
+    last_tx,
+    timers,
+    stopped,
+    sched,
+    wait_until,
+    last_rate,
+    cc,
+});
+
+/// A sender's CC is written as its word stream and read back as a
+/// [`SavedCc`] holding those words, until [`Host::rebind_cc`] recreates
+/// it through the run's factory.
+impl Wire for Box<dyn HostCc> {
+    fn put(&self, w: &mut SnapWriter) {
+        let mut words = Vec::new();
+        self.snapshot_state(&mut words);
+        words.put(w);
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Box::new(SavedCc(Vec::get(r)?)))
+    }
+}
+
+/// A decoded CC word stream awaiting [`Host::rebind_cc`]; it never
+/// paces traffic.
+struct SavedCc(Vec<u64>);
+
+impl HostCc for SavedCc {
+    fn decision(&self) -> RateDecision {
+        RateDecision::line_rate(BitRate::ZERO)
+    }
+
+    fn snapshot_state(&self, out: &mut Vec<u64>) {
+        out.extend_from_slice(&self.0);
+    }
+}
+
 /// TX scheduler membership for one flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SchedState {
@@ -126,6 +174,12 @@ enum SchedState {
     /// In the pacing heap until `wait_until`.
     Waiting,
 }
+
+wire!(enum SchedState {
+    0 => Idle,
+    1 => Ready,
+    2 => Waiting,
+});
 
 impl SenderFlow {
     /// Bytes in flight (sent, not yet cumulatively acked).
@@ -157,6 +211,8 @@ struct ReceiverFlow {
     /// Flow completion already recorded.
     complete: bool,
 }
+
+wire!(ReceiverFlow { expected, nack_armed, complete });
 
 /// Read-only snapshot of one sender flow, handed to the invariant
 /// sanitizer (see [`crate::sanitizer`]) for window-ordering and rate-bound
@@ -206,6 +262,12 @@ pub struct Host {
     /// Earliest pending wake event (dedup so we do not flood the queue).
     wake_at: Option<SimTime>,
 }
+
+// NIC transmit state, queued control frames, every sender flow with its CC
+// words, the TX scheduler (ready ring verbatim, pacing heap in ascending
+// order), receiver state by flow, and the pending wake. The id, uplink,
+// line rate and propagation delay are construction state.
+wire!(state Host { busy, paused, in_flight, ctrl_q, flows, ready, waiting, recv, wake_at });
 
 impl Host {
     /// Build the host for `id` from the topology.
@@ -582,104 +644,6 @@ impl Host {
         self.try_send(k, topo, trace);
     }
 
-    /// Serialize the host's dynamic state: NIC transmit state, queued
-    /// control frames, every sender flow (including its CC word stream),
-    /// the TX scheduler (ready ring verbatim, pacing heap as a sorted
-    /// vector — tuple order is total, so heap pop order survives), and
-    /// receiver state sorted by flow.
-    pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapWriter) {
-        use crate::snapshot::write_packet;
-        w.bool(self.busy);
-        w.bool(self.paused);
-        match &self.in_flight {
-            None => w.u8(0),
-            Some(p) => {
-                w.u8(1);
-                write_packet(w, p);
-            }
-        }
-        w.usize(self.ctrl_q.len());
-        for p in &self.ctrl_q {
-            write_packet(w, p);
-        }
-        w.usize(self.flows.len());
-        for (fid, f) in &self.flows {
-            w.u64(fid.0);
-            w.usize(f.dst.0);
-            w.u64(f.size);
-            w.u64(f.next_seq);
-            w.u64(f.acked);
-            w.u64(f.max_sent);
-            match f.offered {
-                None => w.u8(0),
-                Some(r) => {
-                    w.u8(1);
-                    w.rate(r);
-                }
-            }
-            match f.last_tx {
-                None => w.u8(0),
-                Some((t, b)) => {
-                    w.u8(1);
-                    w.time(t);
-                    w.u64(b);
-                }
-            }
-            for slot in &f.timers {
-                for key in [slot.armed, slot.queued] {
-                    match key {
-                        None => w.u8(0),
-                        Some((t, seq)) => {
-                            w.u8(1);
-                            w.time(t);
-                            w.u64(seq);
-                        }
-                    }
-                }
-            }
-            w.bool(f.stopped);
-            w.u8(match f.sched {
-                SchedState::Idle => 0,
-                SchedState::Ready => 1,
-                SchedState::Waiting => 2,
-            });
-            w.time(f.wait_until);
-            w.rate(f.last_rate);
-            let mut words = Vec::new();
-            f.cc.snapshot_state(&mut words);
-            w.words(&words);
-        }
-        w.usize(self.ready.len());
-        for fid in &self.ready {
-            w.u64(fid.0);
-        }
-        let mut waits: Vec<(SimTime, FlowId)> =
-            self.waiting.iter().map(|Reverse(e)| *e).collect();
-        waits.sort_unstable();
-        w.usize(waits.len());
-        for (t, fid) in waits {
-            w.time(t);
-            w.u64(fid.0);
-        }
-        let mut recvs: Vec<(FlowId, &ReceiverFlow)> =
-            self.recv.iter().map(|(fid, r)| (*fid, r)).collect();
-        recvs.sort_unstable_by_key(|(fid, _)| fid.0);
-        w.usize(recvs.len());
-        for (fid, rf) in recvs {
-            w.u64(fid.0);
-            w.u64(rf.expected);
-            w.bool(rf.nack_armed);
-            w.bool(rf.complete);
-        }
-        match self.wake_at {
-            None => w.u8(0),
-            Some(t) => {
-                w.u8(1);
-                w.time(t);
-            }
-        }
-    }
-
     /// Deliberately corrupt one word of one sender flow's CC state — the
     /// divergence-observatory fault-injection hook (see
     /// [`crate::engine::Sim::inject_rp_perturbation`]). Flips bit 30 of
@@ -703,118 +667,16 @@ impl Host {
         false
     }
 
-    /// Overwrite the host's dynamic state from a [`Host::save_state`]
-    /// stream. Sender CC boxes do not exist in a freshly built host (they
-    /// are created at `FlowStart` dispatch), so each is recreated through
-    /// the run's deterministic `factory` and then restored from its word
-    /// stream.
-    pub(crate) fn load_state(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-        factory: &dyn crate::cc::HostCcFactory,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        use crate::snapshot::{read_packet, SnapshotError};
-        self.busy = r.bool()?;
-        self.paused = r.bool()?;
-        self.in_flight = match r.u8()? {
-            0 => None,
-            1 => Some(read_packet(r)?),
-            _ => return Err(SnapshotError::Malformed("host in-flight tag")),
-        };
-        let nc = r.len()?;
-        self.ctrl_q.clear();
-        for _ in 0..nc {
-            self.ctrl_q.push_back(read_packet(r)?);
+    /// Rebind every sender's CC after a restore: a decoded CC is only its
+    /// word stream ([`SavedCc`]), so each is recreated through the run's
+    /// deterministic `factory` and restored from those words.
+    pub(crate) fn rebind_cc(&mut self, factory: &dyn crate::cc::HostCcFactory) {
+        for (&fid, f) in &mut self.flows {
+            let mut words = Vec::new();
+            f.cc.snapshot_state(&mut words);
+            f.cc = factory.make(fid, self.line_rate);
+            f.cc.restore_state(&words);
         }
-        let nf = r.len()?;
-        self.flows.clear();
-        for _ in 0..nf {
-            let fid = FlowId(r.u64()?);
-            let dst = NodeId(r.usize()?);
-            let size = r.u64()?;
-            let next_seq = r.u64()?;
-            let acked = r.u64()?;
-            let max_sent = r.u64()?;
-            let offered = match r.u8()? {
-                0 => None,
-                1 => Some(r.rate()?),
-                _ => return Err(SnapshotError::Malformed("offered tag")),
-            };
-            let last_tx = match r.u8()? {
-                0 => None,
-                1 => Some((r.time()?, r.u64()?)),
-                _ => return Err(SnapshotError::Malformed("last-tx tag")),
-            };
-            let mut timers = [TimerSlot::default(); TIMER_SLOTS];
-            for slot in &mut timers {
-                for key in [&mut slot.armed, &mut slot.queued] {
-                    *key = match r.u8()? {
-                        0 => None,
-                        1 => Some((r.time()?, r.u64()?)),
-                        _ => return Err(SnapshotError::Malformed("timer slot tag")),
-                    };
-                }
-            }
-            let stopped = r.bool()?;
-            let sched = match r.u8()? {
-                0 => SchedState::Idle,
-                1 => SchedState::Ready,
-                2 => SchedState::Waiting,
-                _ => return Err(SnapshotError::Malformed("sched state tag")),
-            };
-            let wait_until = r.time()?;
-            let last_rate = r.rate()?;
-            let words = r.words()?;
-            let mut cc = factory.make(fid, self.line_rate);
-            cc.restore_state(&words);
-            self.flows.insert(
-                fid,
-                SenderFlow {
-                    dst,
-                    size,
-                    next_seq,
-                    acked,
-                    max_sent,
-                    cc,
-                    offered,
-                    last_tx,
-                    timers,
-                    stopped,
-                    sched,
-                    wait_until,
-                    last_rate,
-                },
-            );
-        }
-        let nr = r.len()?;
-        self.ready.clear();
-        for _ in 0..nr {
-            self.ready.push_back(FlowId(r.u64()?));
-        }
-        let nw = r.len()?;
-        self.waiting.clear();
-        for _ in 0..nw {
-            let t = r.time()?;
-            let fid = FlowId(r.u64()?);
-            self.waiting.push(Reverse((t, fid)));
-        }
-        let nrecv = r.len()?;
-        self.recv.clear();
-        for _ in 0..nrecv {
-            let fid = FlowId(r.u64()?);
-            let rf = ReceiverFlow {
-                expected: r.u64()?,
-                nack_armed: r.bool()?,
-                complete: r.bool()?,
-            };
-            self.recv.insert(fid, rf);
-        }
-        self.wake_at = match r.u8()? {
-            0 => None,
-            1 => Some(r.time()?),
-            _ => return Err(SnapshotError::Malformed("wake-at tag")),
-        };
-        Ok(())
     }
 
     /// A packet arrived at this host.
@@ -1050,7 +912,7 @@ impl Host {
     /// armed `(deadline, seq)` fires the timer; an earlier pop is
     /// forwarded there, and a superseded, cancelled or removed-flow event
     /// does nothing. A live timer whose host is down is replayed every
-    /// [`HOST_DOWN_RETRY`] like a fresh arm, so CC timer chains (e.g. the
+    /// `HOST_DOWN_RETRY` like a fresh arm, so CC timer chains (e.g. the
     /// RoCC recovery timer) survive a pause; it is abandoned if the host
     /// never recovers. A crash disarms every slot instead.
     pub fn handle_cc_timer(

@@ -16,6 +16,7 @@
 //! ordering).
 
 use crate::packet::{CpId, FlowId};
+use crate::snapshot::wire;
 use crate::telemetry::{EventMask, SimEvent};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, PortId};
@@ -32,6 +33,13 @@ struct CpState {
     alpha: f64,
     beta: f64,
 }
+
+wire!(CpState {
+    fair_rate_units,
+    region,
+    alpha,
+    beta
+});
 
 /// One time-series sample. Serialized as one JSONL line.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,6 +91,13 @@ pub enum MetricRow {
         cum_pause_ns: u64,
     },
 }
+
+wire!(enum MetricRow {
+    0 => Queue { t, node, port, bytes },
+    1 => Cp { t, cp, fair_rate_units, region, alpha, beta },
+    2 => Flow { t, flow, rp_bps, goodput_bps },
+    3 => Pfc { t, cum_pause_ns },
+});
 
 impl MetricRow {
     /// Serialize as one JSON object (one JSONL line).
@@ -149,6 +164,10 @@ pub struct Observatory {
     /// Closed-interval pause time accumulated so far.
     cum_pause: SimDuration,
 }
+
+// `enabled` is configuration, recorded so restore can verify the rebuilt
+// run matches.
+wire!(state Observatory { enabled: same, rows, cp_state, pause_open, cum_pause });
 
 impl Observatory {
     /// New, disabled observatory.
@@ -295,157 +314,6 @@ impl Observatory {
         }
         out
     }
-
-    /// Serialize the observatory's dynamic state: collected rows, latest
-    /// CP state, open pause intervals, and accumulated pause time. The
-    /// `enabled` flag is configuration and is recorded only so restore can
-    /// verify the rebuilt run matches.
-    pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.bool(self.enabled);
-        w.usize(self.rows.len());
-        for row in &self.rows {
-            write_row(w, row);
-        }
-        w.usize(self.cp_state.len());
-        for (cp, s) in &self.cp_state {
-            crate::snapshot::write_cp(w, *cp);
-            w.u32(s.fair_rate_units);
-            w.u32(s.region);
-            w.f64(s.alpha);
-            w.f64(s.beta);
-        }
-        w.usize(self.pause_open.len());
-        for (&(node, port), &start) in &self.pause_open {
-            w.usize(node.0);
-            w.usize(port.0);
-            w.u64(start.as_nanos());
-        }
-        w.u64(self.cum_pause.as_nanos());
-    }
-
-    /// Overwrite the observatory's dynamic state from an
-    /// [`Observatory::save_state`] stream.
-    pub(crate) fn load_state(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        use crate::snapshot::SnapshotError;
-        let enabled = r.bool()?;
-        if enabled != self.enabled {
-            return Err(SnapshotError::Malformed("observatory enable flag differs"));
-        }
-        let nr = r.len()?;
-        self.rows.clear();
-        for _ in 0..nr {
-            self.rows.push(read_row(r)?);
-        }
-        let nc = r.len()?;
-        self.cp_state.clear();
-        for _ in 0..nc {
-            let cp = crate::snapshot::read_cp(r)?;
-            self.cp_state.insert(
-                cp,
-                CpState {
-                    fair_rate_units: r.u32()?,
-                    region: r.u32()?,
-                    alpha: r.f64()?,
-                    beta: r.f64()?,
-                },
-            );
-        }
-        let np = r.len()?;
-        self.pause_open.clear();
-        for _ in 0..np {
-            let node = NodeId(r.usize()?);
-            let port = PortId(r.usize()?);
-            let start = SimTime::from_nanos(r.u64()?);
-            self.pause_open.insert((node, port), start);
-        }
-        self.cum_pause = SimDuration::from_nanos(r.u64()?);
-        Ok(())
-    }
-}
-
-fn write_row(w: &mut crate::snapshot::SnapWriter, row: &MetricRow) {
-    match *row {
-        MetricRow::Queue {
-            t,
-            node,
-            port,
-            bytes,
-        } => {
-            w.u8(0);
-            w.u64(t.as_nanos());
-            w.usize(node.0);
-            w.usize(port.0);
-            w.u64(bytes);
-        }
-        MetricRow::Cp {
-            t,
-            cp,
-            fair_rate_units,
-            region,
-            alpha,
-            beta,
-        } => {
-            w.u8(1);
-            w.u64(t.as_nanos());
-            crate::snapshot::write_cp(w, cp);
-            w.u32(fair_rate_units);
-            w.u32(region);
-            w.f64(alpha);
-            w.f64(beta);
-        }
-        MetricRow::Flow {
-            t,
-            flow,
-            rp_bps,
-            goodput_bps,
-        } => {
-            w.u8(2);
-            w.u64(t.as_nanos());
-            w.u64(flow.0);
-            w.u64(rp_bps);
-            w.u64(goodput_bps);
-        }
-        MetricRow::Pfc { t, cum_pause_ns } => {
-            w.u8(3);
-            w.u64(t.as_nanos());
-            w.u64(cum_pause_ns);
-        }
-    }
-}
-
-fn read_row(
-    r: &mut crate::snapshot::SnapReader<'_>,
-) -> Result<MetricRow, crate::snapshot::SnapshotError> {
-    Ok(match r.u8()? {
-        0 => MetricRow::Queue {
-            t: SimTime::from_nanos(r.u64()?),
-            node: NodeId(r.usize()?),
-            port: PortId(r.usize()?),
-            bytes: r.u64()?,
-        },
-        1 => MetricRow::Cp {
-            t: SimTime::from_nanos(r.u64()?),
-            cp: crate::snapshot::read_cp(r)?,
-            fair_rate_units: r.u32()?,
-            region: r.u32()?,
-            alpha: r.f64()?,
-            beta: r.f64()?,
-        },
-        2 => MetricRow::Flow {
-            t: SimTime::from_nanos(r.u64()?),
-            flow: FlowId(r.u64()?),
-            rp_bps: r.u64()?,
-            goodput_bps: r.u64()?,
-        },
-        3 => MetricRow::Pfc {
-            t: SimTime::from_nanos(r.u64()?),
-            cum_pause_ns: r.u64()?,
-        },
-        _ => return Err(crate::snapshot::SnapshotError::Malformed("metric row tag")),
-    })
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 //! format* (ICMP type 253) lives in `rocc-core`, which encodes/decodes real
 //! bytes; the simulator carries the decoded form.
 
+use crate::snapshot::{wire, SnapReader, SnapWriter, SnapshotError, Wire};
 use crate::time::SimTime;
 use crate::topology::{NodeId, PortId};
 use crate::units::BitRate;
@@ -38,6 +39,13 @@ pub struct IntHop {
     pub rate: BitRate,
 }
 
+wire!(IntHop {
+    qlen_bytes,
+    tx_bytes,
+    ts_ns,
+    rate
+});
+
 /// Maximum network diameter in hops for INT stamping; the paper's fat-tree
 /// has 4 switch hops end to end.
 pub const MAX_INT_HOPS: usize = 8;
@@ -47,6 +55,27 @@ pub const MAX_INT_HOPS: usize = 8;
 pub struct IntStack {
     hops: [IntHop; MAX_INT_HOPS],
     len: u8,
+}
+
+/// A `u8` hop count, then the recorded hops; a count above
+/// [`MAX_INT_HOPS`] is malformed.
+impl Wire for IntStack {
+    fn put(&self, w: &mut SnapWriter) {
+        self.len.put(w);
+        self.hops().iter().for_each(|h| h.put(w));
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let n = u8::get(r)? as usize;
+        if n > MAX_INT_HOPS {
+            return Err(SnapshotError::Malformed("int stack length"));
+        }
+        let mut s = IntStack::new();
+        for _ in 0..n {
+            s.push(IntHop::get(r)?);
+        }
+        Ok(s)
+    }
 }
 
 impl IntStack {
@@ -166,6 +195,18 @@ pub enum PacketKind {
     PfcResume,
 }
 
+wire!(enum PacketKind {
+    0 => Data { seq, payload, last },
+    1 => Ack { cum_seq, ecn_echo, data_tx_time, int },
+    2 => Nack { expected_seq },
+    3 => RoccCnp { fair_rate_units, cp },
+    4 => RoccQueueReport { q_cur_units, f_max_units, cp },
+    5 => DcqcnCnp,
+    6 => QcnFb { fb, cp },
+    7 => PfcPause,
+    8 => PfcResume,
+});
+
 impl PacketKind {
     /// True for link-local PFC frames, which are consumed by the adjacent
     /// port and never forwarded or queued.
@@ -216,6 +257,16 @@ pub struct Packet {
     /// Time the packet was first transmitted by its origin.
     pub sent_at: SimTime,
 }
+
+wire!(Packet {
+    flow,
+    src,
+    dst,
+    kind,
+    ecn,
+    int,
+    sent_at
+});
 
 impl Packet {
     /// Total bytes this packet occupies on the wire and in buffers.

@@ -21,25 +21,13 @@
 //! heap already orders by.
 
 use crate::packet::Packet;
-use crate::snapshot::{
-    read_packet, write_packet, SnapReader, SnapWriter, SnapshotError,
-};
+use crate::snapshot::{wire, SnapshotError};
 
 /// Index of a live packet in the [`PacketSlab`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketRef(u32);
 
-impl PacketRef {
-    /// Raw slot index (snapshot codec).
-    pub(crate) fn index(self) -> u32 {
-        self.0
-    }
-
-    /// Rebuild from a raw slot index captured with [`PacketRef::index`].
-    pub(crate) fn from_index(i: u32) -> PacketRef {
-        PacketRef(i)
-    }
-}
+wire!(PacketRef { 0 });
 
 /// Arena of packets currently on the wire or parked in switch queues.
 #[derive(Debug, Default)]
@@ -52,6 +40,12 @@ pub struct PacketSlab {
     /// High-water mark of live slots (self-profiling).
     peak_live: usize,
 }
+
+// The complete arena: every slot (live or free) verbatim, plus the
+// freelist in its exact LIFO order. Slot indices embedded in queued
+// events must keep meaning after restore, and future allocations must pop
+// the same slots in the same order, so nothing is compacted.
+wire!(PacketSlab { slots, free, live, peak_live });
 
 impl PacketSlab {
     /// Empty slab.
@@ -129,48 +123,16 @@ impl PacketSlab {
         self.peak_live
     }
 
-    /// Serialize the complete arena: every slot (live or free) verbatim,
-    /// plus the freelist in its exact LIFO order. Slot indices embedded in
-    /// heap events must keep meaning after restore, and future allocations
-    /// must pop the same slots in the same order, so nothing is compacted.
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.slots.len());
-        for p in &self.slots {
-            write_packet(w, p);
+    /// Check a decoded arena's bookkeeping: every freelist entry names a
+    /// slot, and the live count is the slots not on the freelist.
+    pub(crate) fn check_restored(&self) -> Result<(), SnapshotError> {
+        let n = self.slots.len();
+        if self.free.iter().any(|&i| i as usize >= n) {
+            return Err(SnapshotError::Malformed("slab freelist index"));
         }
-        w.usize(self.free.len());
-        for &i in &self.free {
-            w.u32(i);
-        }
-        w.usize(self.live);
-        w.usize(self.peak_live);
-    }
-
-    /// Overwrite the arena from a [`PacketSlab::save_state`] stream.
-    pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.len()?;
-        let mut slots = Vec::with_capacity(n);
-        for _ in 0..n {
-            slots.push(read_packet(r)?);
-        }
-        let nf = r.len()?;
-        let mut free = Vec::with_capacity(nf);
-        for _ in 0..nf {
-            let i = r.u32()?;
-            if i as usize >= n {
-                return Err(SnapshotError::Malformed("slab freelist index"));
-            }
-            free.push(i);
-        }
-        let live = r.usize()?;
-        let peak_live = r.usize()?;
-        if live != n - nf.min(n) {
+        if self.live != n - self.free.len().min(n) {
             return Err(SnapshotError::Malformed("slab live count"));
         }
-        self.slots = slots;
-        self.free = free;
-        self.live = live;
-        self.peak_live = peak_live;
         Ok(())
     }
 }

@@ -1,12 +1,14 @@
-//! Deterministic mid-run snapshot/restore: the `rocc-snapshot/v2` format.
+//! Deterministic mid-run snapshot/restore: the `rocc-snapshot/v3` format
+//! and the one state codec every snapshot section and digest is built on.
 //!
 //! A snapshot captures the complete *dynamic* state of a [`crate::engine::Sim`]
-//! — scheduler heap, packet slab, switch queues and PFC state, host
-//! send/recv and RP state, CP fair-rate calculators, fault cursors, budget
-//! counters, and telemetry/observatory/sanitizer accumulators — such that
-//! restoring it into a freshly built, identically configured `Sim` resumes
-//! the run with **byte-identical** verdicts, metrics JSONL, and aggregates
-//! versus an uninterrupted run (see DESIGN.md §3i).
+//! — scheduler queue, packet slab, both RNG streams, switch queues and PFC
+//! state, host send/recv and RP state, CP fair-rate calculators, fault
+//! cursors, budget counters, and telemetry/observatory/sanitizer
+//! accumulators — such that restoring it into a freshly built, identically
+//! configured `Sim` resumes the run with **byte-identical** verdicts,
+//! metrics JSONL, and aggregates versus an uninterrupted run (see
+//! DESIGN.md §3i).
 //!
 //! The caller-rebuild protocol: construction-time state (topology, config,
 //! CC factories, registered flows, trace watch lists, enabled
@@ -16,28 +18,39 @@
 //! calls — and then [`crate::engine::Sim::restore`] overwrites every
 //! dynamic field. Mismatched construction is detected via the seed and a
 //! seed-zeroed FNV-1a config digest in the header, plus structural checks
-//! (node counts, watch-list lengths) during decode.
+//! (node roles, watch-list lengths, enable flags) during decode.
 //!
-//! Wire format: a 16-byte magic (`rocc-snapshot/v2`), a fixed header
-//! (seed, config digest, sim time, event count), a length-prefixed body of
-//! little-endian primitives, and a trailing FNV-1a-64 digest over
-//! everything before it. Corruption of any byte is caught by the trailer
-//! before any state is applied.
+//! Wire format: a 16-byte magic (`rocc-snapshot/v3`), a fixed header
+//! (seed, config digest, sim time, event count, body length), the body,
+//! and a trailing FNV-1a-64 digest over everything before it. Corruption
+//! of any byte is caught by the trailer before any state is applied. The
+//! body is the [`crate::engine::Sim::component_states`] sections in their
+//! canonical order, each as its name and its bytes, both length-prefixed:
+//! the bytes a snapshot stores are exactly the bytes the divergence
+//! observatory digests.
+//!
+//! The codec: every value is written and read by one `Wire` impl, and
+//! state decoded over a rebuilt value by one `Restore` impl. Composite
+//! types state their field order and tags once, with `wire!`, next to
+//! their definitions. Integers are little-endian, `usize` is a `u64`,
+//! `bool` and `Option` tags are one byte each (anything but 0/1 is
+//! malformed), lengths are `u64` prefixes, and hash maps are written
+//! sorted by key.
 
-use crate::cc::FeedbackEvent;
 use crate::config::SimConfig;
-use crate::engine::Event;
-use crate::fault::FaultEvent;
-use crate::packet::{CpId, FlowId, IntHop, IntStack, Packet, PacketKind};
-use crate::slab::PacketRef;
+use crate::fastmap::FxHashMap;
+use crate::packet::{CpId, FlowId};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkId, NodeId, PortId};
-use crate::trace::{FctRecord, PfcEvent, Sample};
 use crate::units::BitRate;
+use rand::rngs::StdRng;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::fmt;
+use std::hash::Hash;
 
 /// Leading magic of every snapshot: format name + version in one token.
-pub const SNAPSHOT_MAGIC: &[u8; 16] = b"rocc-snapshot/v2";
+pub const SNAPSHOT_MAGIC: &[u8; 16] = b"rocc-snapshot/v3";
 
 /// Byte length of the fixed header (magic + seed + config digest + now +
 /// events + body length).
@@ -48,7 +61,7 @@ pub const HEADER_LEN: usize = 16 + 8 * 5;
 /// a campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The leading magic is not `rocc-snapshot/v2` (wrong file, wrong
+    /// The leading magic is not [`SNAPSHOT_MAGIC`] (wrong file, wrong
     /// version, or garbage).
     BadMagic,
     /// The byte stream ended before the declared structure did.
@@ -77,7 +90,9 @@ pub enum SnapshotError {
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotError::BadMagic => write!(f, "not a rocc-snapshot/v2 file"),
+            SnapshotError::BadMagic => {
+                write!(f, "not a {} file", String::from_utf8_lossy(SNAPSHOT_MAGIC))
+            }
             SnapshotError::Truncated => write!(f, "snapshot truncated"),
             SnapshotError::DigestMismatch { computed, stored } => write!(
                 f,
@@ -146,8 +161,7 @@ pub fn inspect(bytes: &[u8]) -> Result<SnapshotInfo, SnapshotError> {
         let o = 16 + i * 8;
         u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap())
     };
-    let (seed, config, now_ns, events, body_len) =
-        (word(0), word(1), word(2), word(3), word(4));
+    let (seed, config, now_ns, events, body_len) = (word(0), word(1), word(2), word(3), word(4));
     let expect_total = HEADER_LEN as u64 + body_len + 8;
     if bytes.len() as u64 != expect_total {
         return Err(SnapshotError::Truncated);
@@ -169,79 +183,34 @@ pub fn inspect(bytes: &[u8]) -> Result<SnapshotInfo, SnapshotError> {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive writer/reader
+// Byte sink and source
 // ---------------------------------------------------------------------------
 
-/// Append-only little-endian byte sink for snapshot bodies.
+/// Append-only byte sink for snapshot sections.
 pub(crate) struct SnapWriter {
     buf: Vec<u8>,
 }
 
 impl SnapWriter {
     pub(crate) fn new() -> Self {
-        SnapWriter { buf: Vec::with_capacity(4096) }
-    }
-
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub(crate) fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    pub(crate) fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    pub(crate) fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
+        SnapWriter {
+            buf: Vec::with_capacity(4096),
         }
     }
 
-    pub(crate) fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
+    fn raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
 
-    pub(crate) fn words(&mut self, w: &[u64]) {
-        self.u64(w.len() as u64);
-        for &x in w {
-            self.u64(x);
-        }
+    /// A length prefix: `u64`, little-endian.
+    pub(crate) fn len(&mut self, n: usize) {
+        self.raw(&(n as u64).to_le_bytes());
     }
 
-    pub(crate) fn time(&mut self, t: SimTime) {
-        self.u64(t.as_nanos());
-    }
-
-    pub(crate) fn dur(&mut self, d: SimDuration) {
-        self.u64(d.as_nanos());
-    }
-
-    pub(crate) fn rate(&mut self, r: BitRate) {
-        self.u64(r.as_bps());
+    /// Length-prefixed raw bytes.
+    pub(crate) fn bytes(&mut self, b: &[u8]) {
+        self.len(b.len());
+        self.raw(b);
     }
 
     pub(crate) fn into_bytes(self) -> Vec<u8> {
@@ -249,7 +218,7 @@ impl SnapWriter {
     }
 }
 
-/// Bounds-checked little-endian reader over a snapshot body.
+/// Bounds-checked reader over snapshot bytes.
 pub(crate) struct SnapReader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -261,7 +230,7 @@ impl<'a> SnapReader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.buf.len() - self.pos {
             return Err(SnapshotError::Truncated);
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -269,507 +238,527 @@ impl<'a> SnapReader<'a> {
         Ok(s)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapshotError::Malformed("bool")),
-        }
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u128(&mut self) -> Result<u128, SnapshotError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    pub(crate) fn usize(&mut self) -> Result<usize, SnapshotError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| SnapshotError::Malformed("usize"))
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        Ok(self.take(N)?.try_into().expect("take returns N bytes"))
     }
 
     /// Length prefix with a sanity ceiling: a corrupt length must fail
     /// fast, not attempt a multi-terabyte allocation.
     pub(crate) fn len(&mut self) -> Result<usize, SnapshotError> {
-        let n = self.usize()?;
-        if n > self.buf.len().saturating_sub(self.pos).max(1 << 20) {
+        let n = usize::get(self)?;
+        if n > (self.buf.len() - self.pos).max(1 << 20) {
             return Err(SnapshotError::Malformed("length prefix"));
         }
         Ok(n)
     }
 
-    pub(crate) fn opt_u64(&mut self) -> Result<Option<u64>, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            _ => Err(SnapshotError::Malformed("option tag")),
-        }
-    }
-
-    pub(crate) fn str(&mut self) -> Result<String, SnapshotError> {
+    /// Length-prefixed raw bytes, borrowed.
+    pub(crate) fn bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
         let n = self.len()?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| SnapshotError::Malformed("utf8 string"))
+        self.take(n)
     }
 
-    pub(crate) fn words(&mut self) -> Result<Vec<u64>, SnapshotError> {
-        let n = self.len()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u64()?);
-        }
-        Ok(out)
-    }
-
-    pub(crate) fn time(&mut self) -> Result<SimTime, SnapshotError> {
-        Ok(SimTime::from_nanos(self.u64()?))
-    }
-
-    pub(crate) fn dur(&mut self) -> Result<SimDuration, SnapshotError> {
-        Ok(SimDuration::from_nanos(self.u64()?))
-    }
-
-    pub(crate) fn rate(&mut self) -> Result<BitRate, SnapshotError> {
-        Ok(BitRate::from_bps(self.u64()?))
-    }
-
-    /// True once every body byte has been consumed (restore asserts this:
-    /// trailing garbage means the decode drifted from the encode).
+    /// True once every byte has been consumed (restore asserts this:
+    /// trailing bytes mean the decode drifted from the encode).
     pub(crate) fn exhausted(&self) -> bool {
         self.pos == self.buf.len()
     }
 }
 
 // ---------------------------------------------------------------------------
-// Shared codecs for crate types
+// The codec
 // ---------------------------------------------------------------------------
 
-pub(crate) fn write_cp(w: &mut SnapWriter, cp: CpId) {
-    w.usize(cp.node.0);
-    w.usize(cp.port.0);
+/// A value's wire form, stated once: `put` writes it, `get` reads it back.
+/// Composite types derive theirs with [`wire!`], so each field order and
+/// tag set is written in one place.
+pub(crate) trait Wire: Sized {
+    fn put(&self, w: &mut SnapWriter);
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError>;
 }
 
-pub(crate) fn read_cp(r: &mut SnapReader<'_>) -> Result<CpId, SnapshotError> {
-    Ok(CpId {
-        node: NodeId(r.usize()?),
-        port: PortId(r.usize()?),
-    })
+/// State decoded over a rebuilt value rather than into a new one: its
+/// construction-time fields (topology links, CC boxes, watch lists,
+/// subscribers) are not written and keep their rebuilt values. Every
+/// [`Wire`] value restores by replacement.
+pub(crate) trait Restore {
+    fn save(&self, w: &mut SnapWriter);
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError>;
 }
 
-pub(crate) fn write_opt_cp(w: &mut SnapWriter, cp: Option<CpId>) {
-    match cp {
-        None => w.u8(0),
-        Some(c) => {
-            w.u8(1);
-            write_cp(w, c);
+impl<T: Wire> Restore for T {
+    fn save(&self, w: &mut SnapWriter) {
+        self.put(w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+        *self = T::get(r)?;
+        Ok(())
+    }
+}
+
+impl Wire for u8 {
+    fn put(&self, w: &mut SnapWriter) {
+        w.raw(&[*self]);
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(r.take(1)?[0])
+    }
+}
+
+impl Wire for u32 {
+    fn put(&self, w: &mut SnapWriter) {
+        w.raw(&self.to_le_bytes());
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(u32::from_le_bytes(r.array()?))
+    }
+}
+
+impl Wire for u64 {
+    fn put(&self, w: &mut SnapWriter) {
+        w.raw(&self.to_le_bytes());
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(u64::from_le_bytes(r.array()?))
+    }
+}
+
+impl Wire for u128 {
+    fn put(&self, w: &mut SnapWriter) {
+        w.raw(&self.to_le_bytes());
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(u128::from_le_bytes(r.array()?))
+    }
+}
+
+/// Written as a `u64`, so snapshots do not depend on the pointer width.
+impl Wire for usize {
+    fn put(&self, w: &mut SnapWriter) {
+        (*self as u64).put(w);
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        usize::try_from(u64::get(r)?).map_err(|_| SnapshotError::Malformed("usize"))
+    }
+}
+
+/// One byte, 0 or 1; any other value is malformed.
+impl Wire for bool {
+    fn put(&self, w: &mut SnapWriter) {
+        (*self as u8).put(w);
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        match u8::get(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(SnapshotError::Malformed("bool")),
         }
     }
 }
 
-pub(crate) fn read_opt_cp(r: &mut SnapReader<'_>) -> Result<Option<CpId>, SnapshotError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(read_cp(r)?)),
-        _ => Err(SnapshotError::Malformed("option<cp> tag")),
+/// The IEEE-754 bits, so every value (NaN payloads included) round-trips.
+impl Wire for f64 {
+    fn put(&self, w: &mut SnapWriter) {
+        self.to_bits().put(w);
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(f64::from_bits(u64::get(r)?))
     }
 }
 
-fn write_int_stack(w: &mut SnapWriter, s: &IntStack) {
-    let hops = s.hops();
-    w.u8(hops.len() as u8);
-    for h in hops {
-        w.u64(h.qlen_bytes);
-        w.u64(h.tx_bytes);
-        w.u64(h.ts_ns);
-        w.rate(h.rate);
+impl Wire for String {
+    fn put(&self, w: &mut SnapWriter) {
+        w.bytes(self.as_bytes());
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        String::from_utf8(r.bytes()?.to_vec()).map_err(|_| SnapshotError::Malformed("utf8 string"))
     }
 }
 
-fn read_int_stack(r: &mut SnapReader<'_>) -> Result<IntStack, SnapshotError> {
-    let n = r.u8()? as usize;
-    if n > crate::packet::MAX_INT_HOPS {
-        return Err(SnapshotError::Malformed("int stack length"));
+/// A `u8` tag (0 = `None`, 1 = `Some`), then the value.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut SnapWriter) {
+        match self {
+            None => 0u8.put(w),
+            Some(v) => {
+                1u8.put(w);
+                v.put(w);
+            }
+        }
     }
-    let mut s = IntStack::new();
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        match u8::get(r)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r)?)),
+            _ => Err(SnapshotError::Malformed("option tag")),
+        }
+    }
+}
+
+/// Read `n` values. The allocation grows with what is actually decoded,
+/// so a corrupt count cannot reserve more than the bytes can back.
+fn get_n<T: Wire>(r: &mut SnapReader<'_>, n: usize) -> Result<Vec<T>, SnapshotError> {
+    let mut out = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
-        s.push(IntHop {
-            qlen_bytes: r.u64()?,
-            tx_bytes: r.u64()?,
-            ts_ns: r.u64()?,
-            rate: r.rate()?,
-        });
-    }
-    Ok(s)
-}
-
-pub(crate) fn write_packet(w: &mut SnapWriter, p: &Packet) {
-    w.u64(p.flow.0);
-    w.usize(p.src.0);
-    w.usize(p.dst.0);
-    match p.kind {
-        PacketKind::Data { seq, payload, last } => {
-            w.u8(0);
-            w.u64(seq);
-            w.u64(payload);
-            w.bool(last);
-        }
-        PacketKind::Ack {
-            cum_seq,
-            ecn_echo,
-            data_tx_time,
-            ref int,
-        } => {
-            w.u8(1);
-            w.u64(cum_seq);
-            w.bool(ecn_echo);
-            w.time(data_tx_time);
-            write_int_stack(w, int);
-        }
-        PacketKind::Nack { expected_seq } => {
-            w.u8(2);
-            w.u64(expected_seq);
-        }
-        PacketKind::RoccCnp {
-            fair_rate_units,
-            cp,
-        } => {
-            w.u8(3);
-            w.u32(fair_rate_units);
-            write_cp(w, cp);
-        }
-        PacketKind::RoccQueueReport {
-            q_cur_units,
-            f_max_units,
-            cp,
-        } => {
-            w.u8(4);
-            w.u32(q_cur_units);
-            w.u32(f_max_units);
-            write_cp(w, cp);
-        }
-        PacketKind::DcqcnCnp => w.u8(5),
-        PacketKind::QcnFb { fb, cp } => {
-            w.u8(6);
-            w.u8(fb);
-            write_cp(w, cp);
-        }
-        PacketKind::PfcPause => w.u8(7),
-        PacketKind::PfcResume => w.u8(8),
-    }
-    w.bool(p.ecn);
-    write_int_stack(w, &p.int);
-    w.time(p.sent_at);
-}
-
-pub(crate) fn read_packet(r: &mut SnapReader<'_>) -> Result<Packet, SnapshotError> {
-    let flow = FlowId(r.u64()?);
-    let src = NodeId(r.usize()?);
-    let dst = NodeId(r.usize()?);
-    let kind = match r.u8()? {
-        0 => PacketKind::Data {
-            seq: r.u64()?,
-            payload: r.u64()?,
-            last: r.bool()?,
-        },
-        1 => PacketKind::Ack {
-            cum_seq: r.u64()?,
-            ecn_echo: r.bool()?,
-            data_tx_time: r.time()?,
-            int: read_int_stack(r)?,
-        },
-        2 => PacketKind::Nack {
-            expected_seq: r.u64()?,
-        },
-        3 => PacketKind::RoccCnp {
-            fair_rate_units: r.u32()?,
-            cp: read_cp(r)?,
-        },
-        4 => PacketKind::RoccQueueReport {
-            q_cur_units: r.u32()?,
-            f_max_units: r.u32()?,
-            cp: read_cp(r)?,
-        },
-        5 => PacketKind::DcqcnCnp,
-        6 => PacketKind::QcnFb {
-            fb: r.u8()?,
-            cp: read_cp(r)?,
-        },
-        7 => PacketKind::PfcPause,
-        8 => PacketKind::PfcResume,
-        _ => return Err(SnapshotError::Malformed("packet kind tag")),
-    };
-    Ok(Packet {
-        flow,
-        src,
-        dst,
-        kind,
-        ecn: r.bool()?,
-        int: read_int_stack(r)?,
-        sent_at: r.time()?,
-    })
-}
-
-fn write_feedback(w: &mut SnapWriter, fb: &FeedbackEvent) {
-    match *fb {
-        FeedbackEvent::RoccCnp {
-            fair_rate_units,
-            cp,
-        } => {
-            w.u8(0);
-            w.u32(fair_rate_units);
-            write_cp(w, cp);
-        }
-        FeedbackEvent::RoccQueueReport {
-            q_cur_units,
-            f_max_units,
-            cp,
-        } => {
-            w.u8(1);
-            w.u32(q_cur_units);
-            w.u32(f_max_units);
-            write_cp(w, cp);
-        }
-        FeedbackEvent::DcqcnCnp => w.u8(2),
-        FeedbackEvent::QcnFb { fb, cp } => {
-            w.u8(3);
-            w.u8(fb);
-            write_cp(w, cp);
-        }
-    }
-}
-
-fn read_feedback(r: &mut SnapReader<'_>) -> Result<FeedbackEvent, SnapshotError> {
-    Ok(match r.u8()? {
-        0 => FeedbackEvent::RoccCnp {
-            fair_rate_units: r.u32()?,
-            cp: read_cp(r)?,
-        },
-        1 => FeedbackEvent::RoccQueueReport {
-            q_cur_units: r.u32()?,
-            f_max_units: r.u32()?,
-            cp: read_cp(r)?,
-        },
-        2 => FeedbackEvent::DcqcnCnp,
-        3 => FeedbackEvent::QcnFb {
-            fb: r.u8()?,
-            cp: read_cp(r)?,
-        },
-        _ => return Err(SnapshotError::Malformed("feedback tag")),
-    })
-}
-
-pub(crate) fn write_fault_event(w: &mut SnapWriter, fe: &FaultEvent) {
-    match *fe {
-        FaultEvent::LinkDown(l) => {
-            w.u8(0);
-            w.usize(l.0);
-        }
-        FaultEvent::LinkUp(l) => {
-            w.u8(1);
-            w.usize(l.0);
-        }
-        FaultEvent::HostPause(n) => {
-            w.u8(2);
-            w.usize(n.0);
-        }
-        FaultEvent::HostCrash(n) => {
-            w.u8(3);
-            w.usize(n.0);
-        }
-        FaultEvent::HostRestore(n) => {
-            w.u8(4);
-            w.usize(n.0);
-        }
-    }
-}
-
-pub(crate) fn read_fault_event(r: &mut SnapReader<'_>) -> Result<FaultEvent, SnapshotError> {
-    Ok(match r.u8()? {
-        0 => FaultEvent::LinkDown(LinkId(r.usize()?)),
-        1 => FaultEvent::LinkUp(LinkId(r.usize()?)),
-        2 => FaultEvent::HostPause(NodeId(r.usize()?)),
-        3 => FaultEvent::HostCrash(NodeId(r.usize()?)),
-        4 => FaultEvent::HostRestore(NodeId(r.usize()?)),
-        _ => return Err(SnapshotError::Malformed("fault event tag")),
-    })
-}
-
-pub(crate) fn write_event(w: &mut SnapWriter, ev: &Event) {
-    match ev {
-        Event::Arrive { link, pr } => {
-            w.u8(0);
-            w.usize(link.0);
-            w.u32(pr.index());
-        }
-        Event::SwitchTxDone { node, port } => {
-            w.u8(1);
-            w.usize(node.0);
-            w.usize(port.0);
-        }
-        Event::HostTxDone { node } => {
-            w.u8(2);
-            w.usize(node.0);
-        }
-        Event::HostWake { node } => {
-            w.u8(3);
-            w.usize(node.0);
-        }
-        Event::CpTimer { node, port } => {
-            w.u8(4);
-            w.usize(node.0);
-            w.usize(port.0);
-        }
-        Event::HostCcTimer { node, flow, token } => {
-            w.u8(5);
-            w.usize(node.0);
-            w.u64(flow.0);
-            w.u8(*token);
-        }
-        Event::Feedback { node, flow, fb } => {
-            w.u8(6);
-            w.usize(node.0);
-            w.u64(flow.0);
-            write_feedback(w, fb);
-        }
-        Event::FlowStart { idx } => {
-            w.u8(7);
-            w.usize(*idx);
-        }
-        Event::FlowStop { flow } => {
-            w.u8(8);
-            w.u64(flow.0);
-        }
-        Event::Sample => w.u8(9),
-        Event::Fault(fe) => {
-            w.u8(10);
-            write_fault_event(w, fe);
-        }
-    }
-}
-
-pub(crate) fn read_event(r: &mut SnapReader<'_>) -> Result<Event, SnapshotError> {
-    Ok(match r.u8()? {
-        0 => Event::Arrive {
-            link: LinkId(r.usize()?),
-            pr: PacketRef::from_index(r.u32()?),
-        },
-        1 => Event::SwitchTxDone {
-            node: NodeId(r.usize()?),
-            port: PortId(r.usize()?),
-        },
-        2 => Event::HostTxDone {
-            node: NodeId(r.usize()?),
-        },
-        3 => Event::HostWake {
-            node: NodeId(r.usize()?),
-        },
-        4 => Event::CpTimer {
-            node: NodeId(r.usize()?),
-            port: PortId(r.usize()?),
-        },
-        5 => Event::HostCcTimer {
-            node: NodeId(r.usize()?),
-            flow: FlowId(r.u64()?),
-            token: r.u8()?,
-        },
-        6 => Event::Feedback {
-            node: NodeId(r.usize()?),
-            flow: FlowId(r.u64()?),
-            fb: read_feedback(r)?,
-        },
-        7 => Event::FlowStart { idx: r.usize()? },
-        8 => Event::FlowStop { flow: FlowId(r.u64()?) },
-        9 => Event::Sample,
-        10 => Event::Fault(read_fault_event(r)?),
-        _ => return Err(SnapshotError::Malformed("event tag")),
-    })
-}
-
-pub(crate) fn write_sample(w: &mut SnapWriter, s: &Sample) {
-    w.time(s.t);
-    w.f64(s.v);
-}
-
-pub(crate) fn read_sample(r: &mut SnapReader<'_>) -> Result<Sample, SnapshotError> {
-    Ok(Sample {
-        t: r.time()?,
-        v: r.f64()?,
-    })
-}
-
-pub(crate) fn write_sample_series(w: &mut SnapWriter, series: &[Vec<Sample>]) {
-    w.usize(series.len());
-    for s in series {
-        w.usize(s.len());
-        for x in s {
-            write_sample(w, x);
-        }
-    }
-}
-
-pub(crate) fn read_sample_series(
-    r: &mut SnapReader<'_>,
-    expect_outer: usize,
-) -> Result<Vec<Vec<Sample>>, SnapshotError> {
-    let n = r.len()?;
-    if n != expect_outer {
-        return Err(SnapshotError::Malformed("sample series count"));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let m = r.len()?;
-        let mut s = Vec::with_capacity(m);
-        for _ in 0..m {
-            s.push(read_sample(r)?);
-        }
-        out.push(s);
+        out.push(T::get(r)?);
     }
     Ok(out)
 }
 
-pub(crate) fn write_fct(w: &mut SnapWriter, f: &FctRecord) {
-    w.u64(f.flow.0);
-    w.u64(f.size);
-    w.time(f.start);
-    w.time(f.end);
+/// A `u64` length, then the elements in order.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut SnapWriter) {
+        w.len(self.len());
+        self.iter().for_each(|v| v.put(w));
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let n = r.len()?;
+        get_n(r, n)
+    }
 }
 
-pub(crate) fn read_fct(r: &mut SnapReader<'_>) -> Result<FctRecord, SnapshotError> {
-    Ok(FctRecord {
-        flow: FlowId(r.u64()?),
-        size: r.u64()?,
-        start: r.time()?,
-        end: r.time()?,
-    })
+impl<T: Wire> Wire for VecDeque<T> {
+    fn put(&self, w: &mut SnapWriter) {
+        w.len(self.len());
+        self.iter().for_each(|v| v.put(w));
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Vec::get(r)?.into())
+    }
 }
 
-pub(crate) fn write_pfc_event(w: &mut SnapWriter, e: &PfcEvent) {
-    w.time(e.t);
-    w.usize(e.node.0);
-    w.usize(e.port.0);
+/// The elements only: the length is part of the type.
+impl<T: Wire, const N: usize> Wire for [T; N] {
+    fn put(&self, w: &mut SnapWriter) {
+        self.iter().for_each(|v| v.put(w));
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(get_n(r, N)?
+            .try_into()
+            .ok()
+            .expect("get_n returns N values"))
+    }
 }
 
-pub(crate) fn read_pfc_event(r: &mut SnapReader<'_>) -> Result<PfcEvent, SnapshotError> {
-    Ok(PfcEvent {
-        t: r.time()?,
-        node: NodeId(r.usize()?),
-        port: PortId(r.usize()?),
-    })
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, w: &mut SnapWriter) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
 }
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn put(&self, w: &mut SnapWriter) {
+        self.0.put(w);
+        self.1.put(w);
+        self.2.put(w);
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok((A::get(r)?, B::get(r)?, C::get(r)?))
+    }
+}
+
+/// Write `(key, value)` pairs with a length prefix.
+fn put_pairs<'a, K: Wire + 'a, V: Wire + 'a>(
+    w: &mut SnapWriter,
+    n: usize,
+    pairs: impl Iterator<Item = (&'a K, &'a V)>,
+) {
+    w.len(n);
+    for (k, v) in pairs {
+        k.put(w);
+        v.put(w);
+    }
+}
+
+/// Entries in key order.
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    fn put(&self, w: &mut SnapWriter) {
+        put_pairs(w, self.len(), self.iter());
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Vec::<(K, V)>::get(r)?.into_iter().collect())
+    }
+}
+
+impl<T: Wire + Ord> Wire for BTreeSet<T> {
+    fn put(&self, w: &mut SnapWriter) {
+        w.len(self.len());
+        self.iter().for_each(|v| v.put(w));
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Vec::get(r)?.into_iter().collect())
+    }
+}
+
+/// Entries sorted by key: the hash order never reaches the bytes.
+impl<K: Wire + Ord + Hash, V: Wire> Wire for FxHashMap<K, V> {
+    fn put(&self, w: &mut SnapWriter) {
+        let mut pairs: Vec<(&K, &V)> = self.iter().collect();
+        pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        put_pairs(w, pairs.len(), pairs.into_iter());
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Vec::<(K, V)>::get(r)?.into_iter().collect())
+    }
+}
+
+/// A min-heap as its entries in ascending order. The order is total, so
+/// the rebuilt heap pops exactly as the saved one would have.
+impl<T: Wire + Ord + Copy> Wire for BinaryHeap<Reverse<T>> {
+    fn put(&self, w: &mut SnapWriter) {
+        let mut items: Vec<T> = self.iter().map(|Reverse(v)| *v).collect();
+        items.sort_unstable();
+        items.put(w);
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Vec::get(r)?.into_iter().map(Reverse).collect())
+    }
+}
+
+impl Wire for SimTime {
+    fn put(&self, w: &mut SnapWriter) {
+        self.as_nanos().put(w);
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(SimTime::from_nanos(u64::get(r)?))
+    }
+}
+
+impl Wire for SimDuration {
+    fn put(&self, w: &mut SnapWriter) {
+        self.as_nanos().put(w);
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(SimDuration::from_nanos(u64::get(r)?))
+    }
+}
+
+impl Wire for BitRate {
+    fn put(&self, w: &mut SnapWriter) {
+        self.as_bps().put(w);
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(BitRate::from_bps(u64::get(r)?))
+    }
+}
+
+/// A PRNG as its four raw state words.
+impl Wire for StdRng {
+    fn put(&self, w: &mut SnapWriter) {
+        self.state().put(w);
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(StdRng::from_state(Wire::get(r)?))
+    }
+}
+
+/// Per-field rules of [`wire!`]'s `state` form. A field without a rule is
+/// decoded in place through its [`Restore`] impl.
+pub(crate) mod field {
+    use super::{Restore, SnapReader, SnapWriter, SnapshotError, Wire};
+
+    /// Configuration recorded so a restore can verify that the rebuilt
+    /// run matches it: the decoded value must equal the rebuilt one.
+    pub(crate) mod same {
+        use super::*;
+
+        pub(crate) fn save<T: Wire>(v: &T, w: &mut SnapWriter) {
+            v.put(w);
+        }
+
+        pub(crate) fn load<T: Wire + PartialEq>(
+            v: &mut T,
+            r: &mut SnapReader<'_>,
+            what: &'static str,
+        ) -> Result<(), SnapshotError> {
+            if T::get(r)? != *v {
+                return Err(SnapshotError::Malformed(what));
+            }
+            Ok(())
+        }
+    }
+
+    /// A vector whose length is construction state (one entry per watched
+    /// queue, per port, per link): written with its length, which must
+    /// match the rebuilt one; the entries are restored in place.
+    pub(crate) mod fixed {
+        use super::*;
+
+        pub(crate) fn save<T: Restore>(v: &[T], w: &mut SnapWriter) {
+            w.len(v.len());
+            super::bare::save(v, w);
+        }
+
+        pub(crate) fn load<T: Restore>(
+            v: &mut [T],
+            r: &mut SnapReader<'_>,
+            what: &'static str,
+        ) -> Result<(), SnapshotError> {
+            if r.len()? != v.len() {
+                return Err(SnapshotError::Malformed(what));
+            }
+            super::bare::load(v, r, what)
+        }
+    }
+
+    /// Like [`fixed`], without the length.
+    pub(crate) mod bare {
+        use super::*;
+
+        pub(crate) fn save<T: Restore>(v: &[T], w: &mut SnapWriter) {
+            v.iter().for_each(|x| x.save(w));
+        }
+
+        pub(crate) fn load<T: Restore>(
+            v: &mut [T],
+            r: &mut SnapReader<'_>,
+            _what: &'static str,
+        ) -> Result<(), SnapshotError> {
+            v.iter_mut().try_for_each(|x| x.load(r))
+        }
+    }
+
+    /// Construction state recorded by its length alone, which must match.
+    pub(crate) mod len {
+        use super::*;
+
+        pub(crate) fn save<T>(v: &[T], w: &mut SnapWriter) {
+            w.len(v.len());
+        }
+
+        pub(crate) fn load<T>(
+            v: &mut [T],
+            r: &mut SnapReader<'_>,
+            what: &'static str,
+        ) -> Result<(), SnapshotError> {
+            if r.len()? != v.len() {
+                return Err(SnapshotError::Malformed(what));
+            }
+            Ok(())
+        }
+    }
+}
+
+/// States a type's wire form once, fields and tags in wire order:
+///
+/// * `wire!(Name { a, b, c })` — a struct, field by field (a tuple
+///   struct lists its positions: `wire!(Name { 0 })`);
+/// * `wire!(enum Name { 0 => A { x, y }, 1 => B(z), 2 => C })` — a tagged
+///   enum: the `u8` tag, then the variant's fields; an unknown tag is
+///   [`SnapshotError::Malformed`];
+/// * `wire!(state Name { a, b: same, c: fixed })` — a [`Restore`] impl for
+///   state decoded over a rebuilt value. Fields not listed are
+///   construction state; a listed field may name a [`field`] rule.
+macro_rules! wire {
+    (enum $ty:ident {
+        $($tag:literal => $v:ident $({ $($f:ident),* })? $(( $($t:ident),* ))?),* $(,)?
+    }) => {
+        impl $crate::snapshot::Wire for $ty {
+            fn put(&self, w: &mut $crate::snapshot::SnapWriter) {
+                match self {
+                    $($ty::$v $({ $($f),* })? $(( $($t),* ))? => {
+                        <u8 as $crate::snapshot::Wire>::put(&$tag, w);
+                        $($($crate::snapshot::Wire::put($f, w);)*)?
+                        $($($crate::snapshot::Wire::put($t, w);)*)?
+                    })*
+                }
+            }
+
+            fn get(
+                r: &mut $crate::snapshot::SnapReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                match <u8 as $crate::snapshot::Wire>::get(r)? {
+                    $($tag => {
+                        $($(let $f = $crate::snapshot::Wire::get(r)?;)*)?
+                        $($(let $t = $crate::snapshot::Wire::get(r)?;)*)?
+                        Ok($ty::$v $({ $($f),* })? $(( $($t),* ))?)
+                    })*
+                    _ => Err($crate::snapshot::SnapshotError::Malformed(
+                        concat!(stringify!($ty), " tag"),
+                    )),
+                }
+            }
+        }
+    };
+    (state $ty:ident { $($f:ident $(: $rule:ident)?),* $(,)? }) => {
+        impl $crate::snapshot::Restore for $ty {
+            fn save(&self, w: &mut $crate::snapshot::SnapWriter) {
+                $($crate::snapshot::wire!(@save self.$f, w $(, $rule)?);)*
+            }
+
+            fn load(
+                &mut self,
+                r: &mut $crate::snapshot::SnapReader<'_>,
+            ) -> Result<(), $crate::snapshot::SnapshotError> {
+                $($crate::snapshot::wire!(
+                    @load self.$f, r,
+                    concat!(stringify!($ty), ".", stringify!($f), " differs from the rebuilt run")
+                    $(, $rule)?
+                );)*
+                Ok(())
+            }
+        }
+    };
+    (@save $s:ident . $f:ident, $w:ident) => {
+        $crate::snapshot::Restore::save(&$s.$f, $w)
+    };
+    (@save $s:ident . $f:ident, $w:ident, $rule:ident) => {
+        $crate::snapshot::field::$rule::save(&$s.$f, $w)
+    };
+    (@load $s:ident . $f:ident, $r:ident, $what:expr) => {
+        $crate::snapshot::Restore::load(&mut $s.$f, $r)?
+    };
+    (@load $s:ident . $f:ident, $r:ident, $what:expr, $rule:ident) => {
+        $crate::snapshot::field::$rule::load(&mut $s.$f, $r, $what)?
+    };
+    ($ty:ident { $($f:tt),* $(,)? }) => {
+        impl $crate::snapshot::Wire for $ty {
+            fn put(&self, w: &mut $crate::snapshot::SnapWriter) {
+                $($crate::snapshot::Wire::put(&self.$f, w);)*
+            }
+
+            fn get(
+                r: &mut $crate::snapshot::SnapReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                Ok($ty { $($f: $crate::snapshot::Wire::get(r)?),* })
+            }
+        }
+    };
+}
+pub(crate) use wire;
+
+wire!(FlowId { 0 });
+wire!(NodeId { 0 });
+wire!(PortId { 0 });
+wire!(LinkId { 0 });
+wire!(CpId { node, port });
 
 /// Frame a finished body into the final snapshot byte stream: magic,
 /// header words, body, FNV trailer.
@@ -836,37 +825,109 @@ mod tests {
         assert!(matches!(inspect(&wrong), Err(SnapshotError::BadMagic)));
     }
 
-    #[test]
-    fn writer_reader_primitives_roundtrip() {
+    fn encode<T: Wire>(v: &T) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        w.u8(7);
-        w.bool(true);
-        w.u32(123456);
-        w.u64(u64::MAX - 1);
-        w.u128(1 << 100);
-        w.f64(-1.5);
-        w.opt_u64(None);
-        w.opt_u64(Some(9));
-        w.str("hello");
-        w.words(&[1, 2, 3]);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        assert_eq!(r.u8().unwrap(), 7);
-        assert!(r.bool().unwrap());
-        assert_eq!(r.u32().unwrap(), 123456);
-        assert_eq!(r.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.u128().unwrap(), 1 << 100);
-        assert_eq!(r.f64().unwrap(), -1.5);
-        assert_eq!(r.opt_u64().unwrap(), None);
-        assert_eq!(r.opt_u64().unwrap(), Some(9));
-        assert_eq!(r.str().unwrap(), "hello");
-        assert_eq!(r.words().unwrap(), vec![1, 2, 3]);
-        assert!(r.exhausted());
-        assert!(matches!(r.u8(), Err(SnapshotError::Truncated)));
+        v.put(&mut w);
+        w.into_bytes()
+    }
+
+    fn decode<T: Wire>(bytes: &[u8]) -> Result<T, SnapshotError> {
+        let mut r = SnapReader::new(bytes);
+        let v = T::get(&mut r)?;
+        assert!(r.exhausted(), "decode left trailing bytes");
+        Ok(v)
+    }
+
+    /// `v` decodes back to itself and re-encodes to the same bytes.
+    fn roundtrips<T: Wire + fmt::Debug>(v: &T) {
+        let bytes = encode(v);
+        let back: T = decode(&bytes).unwrap_or_else(|e| panic!("{v:?}: {e}"));
+        assert_eq!(format!("{back:?}"), format!("{v:?}"));
+        assert_eq!(encode(&back), bytes, "{v:?}");
+    }
+
+    /// Every tag byte past the last variant's is malformed.
+    fn unknown_tags_are_malformed<T: Wire + fmt::Debug>(v: &T, variants: u8) {
+        let mut bytes = encode(v);
+        for tag in variants..=u8::MAX {
+            bytes[0] = tag;
+            match decode::<T>(&bytes) {
+                Err(SnapshotError::Malformed(_)) => {}
+                other => panic!("tag {tag} of {v:?} decoded as {other:?}"),
+            }
+        }
+    }
+
+    /// Every proper prefix of `v`'s encoding fails to decode.
+    fn truncations_fail<T: Wire + fmt::Debug>(v: &T) {
+        let bytes = encode(v);
+        for n in 0..bytes.len() {
+            assert!(
+                decode::<T>(&bytes[..n]).is_err(),
+                "{v:?} cut to {n} bytes decoded"
+            );
+        }
+    }
+
+    #[test]
+    fn primitive_codecs_roundtrip_with_fixed_layouts() {
+        roundtrips(&7u8);
+        roundtrips(&true);
+        roundtrips(&123_456u32);
+        roundtrips(&(u64::MAX - 1));
+        roundtrips(&(1u128 << 100));
+        roundtrips(&-1.5f64);
+        roundtrips(&None::<u64>);
+        roundtrips(&Some(9u64));
+        roundtrips(&"hello".to_string());
+        roundtrips(&vec![1u64, 2, 3]);
+        roundtrips(&[(SimTime::from_nanos(5), 6u64); 2]);
+        let fx: FxHashMap<FlowId, u64> = [(FlowId(9), 1), (FlowId(2), 3)].into_iter().collect();
+        roundtrips(&fx);
+        // The layouts every stream relies on: `u64` lengths, one-byte
+        // option tags, hash maps sorted by key.
+        assert_eq!(
+            encode(&Some(9u64)),
+            [&[1u8][..], &9u64.to_le_bytes()].concat()
+        );
+        assert_eq!(encode(&vec![7u8]), [&1u64.to_le_bytes()[..], &[7]].concat());
+        assert_eq!(&encode(&fx)[8..16], &2u64.to_le_bytes());
+        // Tags and bools other than 0/1 are malformed, as is bad UTF-8.
+        unknown_tags_are_malformed(&Some(1u8), 2);
+        unknown_tags_are_malformed(&true, 2);
+        let mut bad = encode(&"ab".to_string());
+        bad[8] = 0xff;
+        assert_eq!(
+            decode::<String>(&bad),
+            Err(SnapshotError::Malformed("utf8 string"))
+        );
+        // A length beyond both the remaining bytes and the ceiling fails
+        // before allocating.
+        let huge = encode(&(1u64 << 40));
+        assert_eq!(
+            decode::<Vec<u8>>(&huge),
+            Err(SnapshotError::Malformed("length prefix"))
+        );
     }
 
     #[test]
     fn packet_and_event_codecs_roundtrip() {
+        use crate::cc::FeedbackEvent;
+        use crate::engine::Event;
+        use crate::fault::FaultEvent;
+        use crate::metrics::MetricRow;
+        use crate::packet::{IntHop, IntStack, Packet, PacketKind};
+        use crate::slab::PacketSlab;
+        use crate::telemetry::{
+            CpDecisionKind, DropCause, RpTransitionKind, SimEvent, VerdictKind,
+        };
+        use crate::trace::{FctRecord, PfcEvent, Sample};
+
+        let t = SimTime::from_nanos(777);
+        let cp = CpId {
+            node: NodeId(4),
+            port: PortId(1),
+        };
         let mut int = IntStack::new();
         int.push(IntHop {
             qlen_bytes: 11,
@@ -874,56 +935,253 @@ mod tests {
             ts_ns: 33,
             rate: BitRate::from_bps(44),
         });
-        let p = Packet {
-            flow: FlowId(5),
-            src: NodeId(1),
-            dst: NodeId(2),
-            kind: PacketKind::Ack {
+        let kinds = [
+            PacketKind::Data {
+                seq: 1,
+                payload: 1000,
+                last: true,
+            },
+            PacketKind::Ack {
                 cum_seq: 4096,
                 ecn_echo: true,
-                data_tx_time: SimTime::from_nanos(777),
+                data_tx_time: t,
                 int,
             },
-            ecn: false,
-            int: IntStack::new(),
-            sent_at: SimTime::from_nanos(999),
-        };
-        let mut w = SnapWriter::new();
-        write_packet(&mut w, &p);
-        write_event(
-            &mut w,
-            &Event::Feedback {
-                node: NodeId(3),
-                flow: FlowId(8),
-                fb: FeedbackEvent::RoccCnp {
-                    fair_rate_units: 200,
-                    cp: CpId {
-                        node: NodeId(4),
-                        port: PortId(1),
-                    },
-                },
+            PacketKind::Nack { expected_seq: 5 },
+            PacketKind::RoccCnp {
+                fair_rate_units: 200,
+                cp,
             },
-        );
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        assert_eq!(read_packet(&mut r).unwrap(), p);
-        match read_event(&mut r).unwrap() {
-            Event::Feedback { node, flow, fb } => {
-                assert_eq!(node, NodeId(3));
-                assert_eq!(flow, FlowId(8));
-                assert_eq!(
-                    fb,
-                    FeedbackEvent::RoccCnp {
-                        fair_rate_units: 200,
-                        cp: CpId {
-                            node: NodeId(4),
-                            port: PortId(1)
-                        }
-                    }
-                );
-            }
-            other => panic!("wrong event: {other:?}"),
+            PacketKind::RoccQueueReport {
+                q_cur_units: 3,
+                f_max_units: 4,
+                cp,
+            },
+            PacketKind::DcqcnCnp,
+            PacketKind::QcnFb { fb: 63, cp },
+            PacketKind::PfcPause,
+            PacketKind::PfcResume,
+        ];
+        let packets: Vec<Packet> = kinds
+            .iter()
+            .map(|&kind| Packet {
+                flow: FlowId(5),
+                src: NodeId(1),
+                dst: NodeId(2),
+                kind,
+                ecn: true,
+                int,
+                sent_at: SimTime::from_nanos(999),
+            })
+            .collect();
+        let feedback = [
+            FeedbackEvent::RoccCnp {
+                fair_rate_units: 200,
+                cp,
+            },
+            FeedbackEvent::RoccQueueReport {
+                q_cur_units: 3,
+                f_max_units: 4,
+                cp,
+            },
+            FeedbackEvent::DcqcnCnp,
+            FeedbackEvent::QcnFb { fb: 7, cp },
+        ];
+        let faults = [
+            FaultEvent::LinkDown(LinkId(3)),
+            FaultEvent::LinkUp(LinkId(3)),
+            FaultEvent::HostPause(NodeId(2)),
+            FaultEvent::HostCrash(NodeId(2)),
+            FaultEvent::HostRestore(NodeId(2)),
+        ];
+        let pr = PacketSlab::new().alloc(packets[0]);
+        let (node, port, flow) = (NodeId(3), PortId(2), FlowId(8));
+        let mut events = vec![
+            Event::Arrive {
+                link: LinkId(6),
+                pr,
+            },
+            Event::SwitchTxDone { node, port },
+            Event::HostTxDone { node },
+            Event::HostWake { node },
+            Event::CpTimer { node, port },
+            Event::HostCcTimer {
+                node,
+                flow,
+                token: 3,
+            },
+            Event::FlowStart { idx: 12 },
+            Event::FlowStop { flow },
+            Event::Sample,
+        ];
+        events.extend(feedback.map(|fb| Event::Feedback { node, flow, fb }));
+        events.extend(faults.map(Event::Fault));
+        let sim_events = [
+            SimEvent::Drop {
+                t,
+                node,
+                flow,
+                cause: DropCause::HostDown,
+            },
+            SimEvent::Pfc {
+                t,
+                node,
+                port,
+                pause: true,
+            },
+            SimEvent::CnpEmit {
+                t,
+                cp,
+                flow,
+                fair_rate_units: 9,
+            },
+            SimEvent::CpDecision {
+                t,
+                cp,
+                kind: CpDecisionKind::Pi,
+                fair_rate_units: 9,
+                alpha: 0.25,
+                beta: -1.5,
+                region: 2,
+                qlen_bytes: 150_000,
+            },
+            SimEvent::RpTransition {
+                t,
+                node,
+                flow,
+                kind: RpTransitionKind::CpSwitch,
+                rate_bps: 1_000_000,
+                cp: None,
+            },
+            SimEvent::RpTransition {
+                t,
+                node,
+                flow,
+                kind: RpTransitionKind::Uninstall,
+                rate_bps: 1_000_000,
+                cp: Some(cp),
+            },
+            SimEvent::Fault {
+                t,
+                fault: faults[3],
+            },
+            SimEvent::PauseEdge {
+                t,
+                from: cp,
+                to: CpId { node, port },
+            },
+            SimEvent::Verdict {
+                t,
+                kind: VerdictKind::WallClockExceeded,
+                cycle_len: 3,
+            },
+            SimEvent::SchedClamp {
+                t,
+                requested: SimTime::from_nanos(5),
+                total: 2,
+            },
+        ];
+        let rows = [
+            MetricRow::Queue {
+                t,
+                node,
+                port,
+                bytes: 10,
+            },
+            MetricRow::Cp {
+                t,
+                cp,
+                fair_rate_units: 1,
+                region: 2,
+                alpha: 0.5,
+                beta: 0.75,
+            },
+            MetricRow::Flow {
+                t,
+                flow,
+                rp_bps: 3,
+                goodput_bps: 4,
+            },
+            MetricRow::Pfc { t, cum_pause_ns: 5 },
+        ];
+
+        for p in &packets {
+            roundtrips(p);
+            truncations_fail(p);
         }
-        assert!(r.exhausted());
+        for ev in &events {
+            roundtrips(ev);
+            truncations_fail(ev);
+        }
+        feedback.iter().for_each(roundtrips);
+        faults.iter().for_each(roundtrips);
+        sim_events.iter().for_each(roundtrips);
+        rows.iter().for_each(roundtrips);
+        roundtrips(&Sample { t, v: 1e9 });
+        roundtrips(&FctRecord {
+            flow,
+            size: 1,
+            start: t,
+            end: t,
+        });
+        roundtrips(&PfcEvent { t, node, port });
+        for cause in [
+            DropCause::Congestion,
+            DropCause::Unroutable,
+            DropCause::FaultLoss,
+            DropCause::FaultCorrupt,
+            DropCause::LinkDown,
+            DropCause::HostDown,
+        ] {
+            roundtrips(&cause);
+        }
+        for kind in [
+            CpDecisionKind::MdToMin,
+            CpDecisionKind::MdHalve,
+            CpDecisionKind::Pi,
+        ] {
+            roundtrips(&kind);
+        }
+        for kind in [
+            RpTransitionKind::Install,
+            RpTransitionKind::RateUpdate,
+            RpTransitionKind::CpSwitch,
+            RpTransitionKind::RecoveryDouble,
+            RpTransitionKind::Uninstall,
+        ] {
+            roundtrips(&kind);
+        }
+        for kind in [
+            VerdictKind::PfcDeadlock,
+            VerdictKind::InvariantViolation,
+            VerdictKind::DeadlineExceeded,
+            VerdictKind::Drained,
+            VerdictKind::BudgetExhausted,
+            VerdictKind::Stalled,
+            VerdictKind::WallClockExceeded,
+        ] {
+            roundtrips(&kind);
+        }
+
+        // Out-of-range tags. A packet's kind tag follows its flow, src and
+        // dst words, so it is checked through `PacketKind` itself.
+        unknown_tags_are_malformed(&kinds[0], 9);
+        unknown_tags_are_malformed(&feedback[0], 4);
+        unknown_tags_are_malformed(&faults[0], 5);
+        unknown_tags_are_malformed(&events[0], 11);
+        unknown_tags_are_malformed(&sim_events[0], 9);
+        unknown_tags_are_malformed(&rows[0], 4);
+        unknown_tags_are_malformed(&DropCause::Congestion, 6);
+        unknown_tags_are_malformed(&CpDecisionKind::Pi, 3);
+        unknown_tags_are_malformed(&RpTransitionKind::Install, 5);
+        unknown_tags_are_malformed(&VerdictKind::Drained, 7);
+
+        // The INT hop count is bounded by the stack's capacity.
+        let mut deep = encode(&int);
+        deep[0] = crate::packet::MAX_INT_HOPS as u8 + 1;
+        assert_eq!(
+            decode::<IntStack>(&deep),
+            Err(SnapshotError::Malformed("int stack length"))
+        );
     }
 }

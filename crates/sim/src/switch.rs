@@ -19,7 +19,7 @@ use crate::engine::{Event, Kernel};
 use crate::packet::{CpId, FlowId, Packet, PacketKind, PFC_FRAME_BYTES};
 use crate::profiler::Phase;
 use crate::slab::{PacketRef, PacketSlab};
-use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
+use crate::snapshot::{wire, Restore, SnapReader, SnapWriter, SnapshotError, Wire};
 use crate::telemetry::{CcEvent, DropCause, EventMask, SimEvent};
 use crate::time::SimTime;
 use crate::topology::{LinkId, NodeId, NodeRole, PortId, Topology};
@@ -36,6 +36,8 @@ struct QueuedPacket {
     pr: PacketRef,
     ingress: Option<PortId>,
 }
+
+wire!(QueuedPacket { pr, ingress });
 
 /// One physical port: egress queues + transmit state.
 pub struct Port {
@@ -59,6 +61,24 @@ pub struct Port {
     in_flight: Option<QueuedPacket>,
     /// Congestion-control instance for this egress port.
     cc: Box<dyn SwitchCc>,
+}
+
+// Queues as slab refs in verbatim FIFO order, transmit and PFC state, and
+// the CC's word stream; the link and its rate are construction state.
+wire!(state Port { ctrl_q, data_q, qlen_bytes, busy, paused, tx_bytes, in_flight, cc });
+
+/// A port's CC state is its word stream, restored into the rebuilt box.
+impl Restore for Box<dyn SwitchCc> {
+    fn save(&self, w: &mut SnapWriter) {
+        let mut words = Vec::new();
+        self.snapshot_state(&mut words);
+        words.put(w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+        self.restore_state(&Vec::get(r)?);
+        Ok(())
+    }
 }
 
 impl Port {
@@ -95,6 +115,10 @@ pub struct Switch {
     /// True when we have PAUSEd the upstream neighbor of this ingress port.
     sent_xoff: Vec<bool>,
 }
+
+// The port layout is construction state: the rebuilt switch keeps its
+// ports and CC boxes and only their dynamic contents change.
+wire!(state Switch { ports: fixed, ingress_buffered: fixed, sent_xoff: bare });
 
 impl Switch {
     /// Build a switch for `id` from the topology, instantiating one CC per
@@ -639,107 +663,6 @@ impl Switch {
     /// Exact simulation-time snapshot of a port's state (sampling support).
     pub fn snapshot(&self, p: PortId) -> (u64, u64) {
         (self.ports[p.0].qlen_bytes, self.ports[p.0].tx_bytes)
-    }
-
-    /// Serialize the switch's dynamic state: per-port queues (as slab
-    /// refs, verbatim FIFO order), transmit and PFC state, the CC word
-    /// stream, and the ingress accounting vectors.
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-        let write_qp = |w: &mut SnapWriter, qp: &QueuedPacket| {
-            w.u32(qp.pr.index());
-            match qp.ingress {
-                None => w.u8(0),
-                Some(p) => {
-                    w.u8(1);
-                    w.usize(p.0);
-                }
-            }
-        };
-        w.usize(self.ports.len());
-        for port in &self.ports {
-            w.usize(port.ctrl_q.len());
-            for qp in &port.ctrl_q {
-                write_qp(w, qp);
-            }
-            w.usize(port.data_q.len());
-            for qp in &port.data_q {
-                write_qp(w, qp);
-            }
-            w.u64(port.qlen_bytes);
-            w.bool(port.busy);
-            w.bool(port.paused);
-            w.u64(port.tx_bytes);
-            match &port.in_flight {
-                None => w.u8(0),
-                Some(qp) => {
-                    w.u8(1);
-                    write_qp(w, qp);
-                }
-            }
-            let mut words = Vec::new();
-            port.cc.snapshot_state(&mut words);
-            w.words(&words);
-        }
-        w.usize(self.ingress_buffered.len());
-        for &b in &self.ingress_buffered {
-            w.u64(b);
-        }
-        for &x in &self.sent_xoff {
-            w.bool(x);
-        }
-    }
-
-    /// Overwrite the switch's dynamic state from a [`Switch::save_state`]
-    /// stream. The port layout and CC boxes of the freshly rebuilt switch
-    /// are reused; only their dynamic contents change.
-    pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        let read_qp = |r: &mut SnapReader<'_>| -> Result<QueuedPacket, SnapshotError> {
-            let pr = PacketRef::from_index(r.u32()?);
-            let ingress = match r.u8()? {
-                0 => None,
-                1 => Some(PortId(r.usize()?)),
-                _ => return Err(SnapshotError::Malformed("queued packet ingress tag")),
-            };
-            Ok(QueuedPacket { pr, ingress })
-        };
-        let np = r.len()?;
-        if np != self.ports.len() {
-            return Err(SnapshotError::Malformed("switch port count"));
-        }
-        for port in &mut self.ports {
-            let nc = r.len()?;
-            port.ctrl_q.clear();
-            for _ in 0..nc {
-                port.ctrl_q.push_back(read_qp(r)?);
-            }
-            let nd = r.len()?;
-            port.data_q.clear();
-            for _ in 0..nd {
-                port.data_q.push_back(read_qp(r)?);
-            }
-            port.qlen_bytes = r.u64()?;
-            port.busy = r.bool()?;
-            port.paused = r.bool()?;
-            port.tx_bytes = r.u64()?;
-            port.in_flight = match r.u8()? {
-                0 => None,
-                1 => Some(read_qp(r)?),
-                _ => return Err(SnapshotError::Malformed("in-flight tag")),
-            };
-            let words = r.words()?;
-            port.cc.restore_state(&words);
-        }
-        let ni = r.len()?;
-        if ni != self.ingress_buffered.len() {
-            return Err(SnapshotError::Malformed("switch ingress count"));
-        }
-        for b in &mut self.ingress_buffered {
-            *b = r.u64()?;
-        }
-        for x in &mut self.sent_xoff {
-            *x = r.bool()?;
-        }
-        Ok(())
     }
 
     /// Schedule initial CC timers (called once by the engine at t=0 with a

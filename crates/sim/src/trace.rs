@@ -9,6 +9,7 @@
 use crate::metrics::Observatory;
 use crate::packet::FlowId;
 use crate::fastmap::FxHashMap;
+use crate::snapshot::wire;
 use crate::telemetry::{EventMask, SimEvent, Telemetry};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, PortId};
@@ -22,6 +23,8 @@ pub struct Sample {
     pub v: f64,
 }
 
+wire!(Sample { t, v });
+
 /// A flow's completion record.
 #[derive(Debug, Clone, Copy)]
 pub struct FctRecord {
@@ -34,6 +37,13 @@ pub struct FctRecord {
     /// Last-byte arrival time at the receiver.
     pub end: SimTime,
 }
+
+wire!(FctRecord {
+    flow,
+    size,
+    start,
+    end
+});
 
 impl FctRecord {
     /// Flow completion time.
@@ -52,6 +62,8 @@ pub struct PfcEvent {
     /// Ingress port whose occupancy crossed the threshold.
     pub port: PortId,
 }
+
+wire!(PfcEvent { t, node, port });
 
 /// Counts of packets destroyed by injected faults, per class. Kept separate
 /// from congestion [`Trace::drops`] so experiments can attribute loss to the
@@ -85,6 +97,18 @@ pub struct FaultCounters {
     /// [`FaultCounters::total`].
     pub abandoned_events: u64,
 }
+
+wire!(FaultCounters {
+    data_lost,
+    ctrl_lost,
+    data_corrupted,
+    ctrl_corrupted,
+    link_down_drops,
+    host_down_drops,
+    duplicated,
+    reordered,
+    abandoned_events,
+});
 
 impl FaultCounters {
     /// Total packets *destroyed* by fault injection across all classes
@@ -168,6 +192,31 @@ pub struct Trace {
     /// Sampled CC-rate series, parallel to `watched_cc_flows`.
     pub cc_rate_series: Vec<Vec<Sample>>,
 }
+
+// Watch lists, the sample period and `avg_until` are configuration the
+// restoring run re-registers; every per-watch vector must keep the
+// rebuilt run's length.
+wire!(state Trace {
+    queue_series: fixed,
+    flow_rate_series: fixed,
+    port_tput_series: fixed,
+    cc_rate_series: fixed,
+    delivered,
+    delivered_at_last_sample: fixed,
+    tx_at_last_sample: fixed,
+    pfc_events,
+    fcts,
+    retx_bytes,
+    tx_data_bytes,
+    ctrl_emitted,
+    drops,
+    unroutable_drops,
+    faults,
+    queue_peak: fixed,
+    queue_avg_acc,
+    telemetry,
+    observatory,
+});
 
 impl Trace {
     /// New, empty trace with no sampling.
@@ -380,161 +429,6 @@ impl Trace {
     /// Total delivered bytes for a flow (receiver side).
     pub fn delivered_bytes(&self, flow: FlowId) -> u64 {
         self.delivered.get(&flow).copied().unwrap_or(0)
-    }
-
-    /// Serialize the trace's dynamic state: sampled series, delivery
-    /// accounting (sorted by key for determinism), counters, fault
-    /// counters, and the telemetry/observatory accumulators. Watch lists,
-    /// sample period, and `avg_until` are configuration the restoring run
-    /// re-registers; the decode verifies series lengths against them.
-    pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapWriter) {
-        use crate::snapshot::{write_fct, write_pfc_event, write_sample_series};
-        write_sample_series(w, &self.queue_series);
-        write_sample_series(w, &self.flow_rate_series);
-        write_sample_series(w, &self.port_tput_series);
-        write_sample_series(w, &self.cc_rate_series);
-        let mut delivered: Vec<(FlowId, u64)> =
-            self.delivered.iter().map(|(f, b)| (*f, *b)).collect();
-        delivered.sort_unstable_by_key(|(f, _)| f.0);
-        w.usize(delivered.len());
-        for (f, b) in delivered {
-            w.u64(f.0);
-            w.u64(b);
-        }
-        w.usize(self.delivered_at_last_sample.len());
-        for &b in &self.delivered_at_last_sample {
-            w.u64(b);
-        }
-        w.usize(self.tx_at_last_sample.len());
-        for &b in &self.tx_at_last_sample {
-            w.u64(b);
-        }
-        w.usize(self.pfc_events.len());
-        for e in &self.pfc_events {
-            write_pfc_event(w, e);
-        }
-        w.usize(self.fcts.len());
-        for f in &self.fcts {
-            write_fct(w, f);
-        }
-        w.u64(self.retx_bytes);
-        w.u64(self.tx_data_bytes);
-        w.u64(self.ctrl_emitted);
-        w.u64(self.drops);
-        w.u64(self.unroutable_drops);
-        let fc = &self.faults;
-        for v in [
-            fc.data_lost,
-            fc.ctrl_lost,
-            fc.data_corrupted,
-            fc.ctrl_corrupted,
-            fc.link_down_drops,
-            fc.host_down_drops,
-            fc.duplicated,
-            fc.reordered,
-            fc.abandoned_events,
-        ] {
-            w.u64(v);
-        }
-        w.usize(self.queue_peak.len());
-        for &p in &self.queue_peak {
-            w.u64(p);
-        }
-        let mut avgs: Vec<((NodeId, PortId), (f64, u64))> =
-            self.queue_avg_acc.iter().map(|(k, v)| (*k, *v)).collect();
-        avgs.sort_unstable_by_key(|((n, p), _)| (n.0, p.0));
-        w.usize(avgs.len());
-        for ((n, p), (s, c)) in avgs {
-            w.usize(n.0);
-            w.usize(p.0);
-            w.f64(s);
-            w.u64(c);
-        }
-        self.telemetry.save_state(w);
-        self.observatory.save_state(w);
-    }
-
-    /// Overwrite the trace's dynamic state from a [`Trace::save_state`]
-    /// stream. Fails if the watch registrations of the rebuilt run do not
-    /// match the captured series shapes.
-    pub(crate) fn load_state(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        use crate::snapshot::{read_fct, read_pfc_event, read_sample_series, SnapshotError};
-        self.queue_series = read_sample_series(r, self.watched_queues.len())?;
-        self.flow_rate_series = read_sample_series(r, self.watched_flows.len())?;
-        self.port_tput_series = read_sample_series(r, self.watched_ports.len())?;
-        self.cc_rate_series = read_sample_series(r, self.watched_cc_flows.len())?;
-        let nd = r.len()?;
-        self.delivered.clear();
-        for _ in 0..nd {
-            let f = FlowId(r.u64()?);
-            let b = r.u64()?;
-            self.delivered.insert(f, b);
-        }
-        let nls = r.len()?;
-        if nls != self.watched_flows.len() {
-            return Err(SnapshotError::Malformed("delivered-at-sample count"));
-        }
-        self.delivered_at_last_sample.clear();
-        for _ in 0..nls {
-            self.delivered_at_last_sample.push(r.u64()?);
-        }
-        let ntx = r.len()?;
-        if ntx != self.watched_ports.len() {
-            return Err(SnapshotError::Malformed("tx-at-sample count"));
-        }
-        self.tx_at_last_sample.clear();
-        for _ in 0..ntx {
-            self.tx_at_last_sample.push(r.u64()?);
-        }
-        let np = r.len()?;
-        self.pfc_events.clear();
-        for _ in 0..np {
-            self.pfc_events.push(read_pfc_event(r)?);
-        }
-        let nf = r.len()?;
-        self.fcts.clear();
-        for _ in 0..nf {
-            self.fcts.push(read_fct(r)?);
-        }
-        self.retx_bytes = r.u64()?;
-        self.tx_data_bytes = r.u64()?;
-        self.ctrl_emitted = r.u64()?;
-        self.drops = r.u64()?;
-        self.unroutable_drops = r.u64()?;
-        self.faults = FaultCounters {
-            data_lost: r.u64()?,
-            ctrl_lost: r.u64()?,
-            data_corrupted: r.u64()?,
-            ctrl_corrupted: r.u64()?,
-            link_down_drops: r.u64()?,
-            host_down_drops: r.u64()?,
-            duplicated: r.u64()?,
-            reordered: r.u64()?,
-            abandoned_events: r.u64()?,
-        };
-        let npk = r.len()?;
-        if npk != self.watched_queues.len() {
-            return Err(SnapshotError::Malformed("queue peak count"));
-        }
-        self.queue_peak.clear();
-        for _ in 0..npk {
-            self.queue_peak.push(r.u64()?);
-        }
-        let na = r.len()?;
-        self.queue_avg_acc.clear();
-        for _ in 0..na {
-            let n = NodeId(r.usize()?);
-            let p = PortId(r.usize()?);
-            let s = r.f64()?;
-            let c = r.u64()?;
-            self.queue_avg_acc.insert((n, p), (s, c));
-        }
-        self.telemetry.load_state(r)?;
-        self.observatory.load_state(r)?;
-        Ok(())
     }
 }
 

@@ -297,16 +297,20 @@ fn restore_rejects_corrupt_container() {
     }
 }
 
-/// The host timer words changed with `rocc-snapshot/v2`; a file written
-/// under the v1 magic is refused by magic before any decoding.
+/// The host timer words changed with `rocc-snapshot/v2`, and the body
+/// became named, length-framed sections with `rocc-snapshot/v3`; a file
+/// written under either older magic is refused by magic before any
+/// decoding.
 #[test]
 fn a_v1_snapshot_is_refused_by_magic() {
-    assert_eq!(snapshot::SNAPSHOT_MAGIC, b"rocc-snapshot/v2");
+    assert_eq!(snapshot::SNAPSHOT_MAGIC, b"rocc-snapshot/v3");
     let mut donor = build_chaos(7);
     while donor.events_processed() < 1000 && donor.step() {}
-    let mut bytes = donor.snapshot();
-    bytes[..16].copy_from_slice(b"rocc-snapshot/v1");
-    assert_eq!(snapshot::inspect(&bytes), Err(snapshot::SnapshotError::BadMagic));
-    let mut sim = build_chaos(7);
-    assert_eq!(sim.restore(&bytes), Err(snapshot::SnapshotError::BadMagic));
+    for old in [b"rocc-snapshot/v1", b"rocc-snapshot/v2"] {
+        let mut bytes = donor.snapshot();
+        bytes[..16].copy_from_slice(old);
+        assert_eq!(snapshot::inspect(&bytes), Err(snapshot::SnapshotError::BadMagic));
+        let mut sim = build_chaos(7);
+        assert_eq!(sim.restore(&bytes), Err(snapshot::SnapshotError::BadMagic));
+    }
 }
